@@ -2,8 +2,8 @@
 injection, and CSV/SVG artifact emission, behind an argparse front end.
 
 Subcommands: plan, simulate, bench, inject. Exit codes: 0 success,
-1 planning or control failure (no path, infeasible controller, time budget),
-2 input errors.
+1 planning or control failure (no path, infeasible controller, time budget,
+a followed trajectory whose true barrier went negative), 2 input errors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,11 @@ from .core import (Obstacle, ParseError, PlanResult, Scenario,
                    validate_scenario)
 from .planners import CBF_QP_BASELINE_NOTE, PLANNER_NAMES, NoPath, plan
 from .sim import (ControllerInfeasible, TimeBudgetExceeded, Trajectory,
-                  follow_path, write_trajectory_csv)
+                  follow_path, min_barrier, write_trajectory_csv)
+
+# m^2: a true barrier below this is a safety violation, not round-off at a
+# touching boundary
+BARRIER_FLOOR = -1e-6
 
 BENCH_CSV_HEADER = ("planner,scenario,runs,successes,"
                     "mean_s,median_s,std_s,mean_len_m,mean_clearance_m")
@@ -430,16 +434,20 @@ def _cmd_simulate(args) -> int:
     except (ControllerInfeasible, TimeBudgetExceeded) as exc:
         print(f"follower failed on {name}: {exc}", file=sys.stderr)
         return 1
-    worst = min(min(smp.b_values) for smp in traj.samples if smp.b_values) \
-        if scenario.obstacles else math.inf
+    worst = min_barrier(traj)
+    lowest = worst[0] if worst is not None else math.inf
     print(f"{args.planner} on {name}: followed {traj.samples[-1].t:.2f} s, "
-          f"{len(traj.samples)} ticks, min barrier {worst:.4f}")
+          f"{len(traj.samples)} ticks, min barrier {lowest:.4f}")
     if args.out:
         write_trajectory_csv(traj, args.out)
         print(f"wrote {args.out}")
     if args.svg:
         emit_svg(traj, scenario, args.svg)
         print(f"wrote {args.svg}")
+    if not lowest >= BARRIER_FLOOR:
+        print(f"follower entered obstacles[{worst[2]}] on {name}: true barrier "
+              f"{lowest:.4f} at t={worst[1]:.2f} s", file=sys.stderr)
+        return 1
     return 0
 
 

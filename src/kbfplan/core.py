@@ -228,6 +228,9 @@ def validate_scenario(s: Scenario) -> Scenario:
     _positive(v, "robot.r_r", s.robot.r_r)
 
     for i, o in enumerate(s.obstacles):
+        if not (math.isfinite(o.x) and math.isfinite(o.y)):
+            v.append(Violation("NonFiniteParameter", f"obstacles[{i}]", (o.x, o.y),
+                               "center must be finite"))
         _positive(v, f"obstacles[{i}].r", o.r)
 
     _positive(v, "cbf.gamma1", s.cbf.gamma1)

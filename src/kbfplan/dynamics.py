@@ -62,8 +62,36 @@ def state_derivative(z: State, u: Control) -> tuple[float, float, float, float]:
     return (z.v * math.cos(z.theta), z.v * math.sin(z.theta), z.v * u.c, u.a)
 
 
-def _deriv(x: float, y: float, theta: float, v: float, c: float, a: float):
-    return (v * math.cos(theta), v * math.sin(theta), v * c, a)
+def rk4_step(x: float, y: float, theta: float, v: float, c: float, a: float,
+             dt: float, v_max: float) -> tuple[float, float, float, float]:
+    """One classical RK4 step of the bicycle model under a held control (c, a).
+
+    Returns (x, y, theta, v) with the speed clamped to [0, v_max]; the heading
+    is not wrapped. The stage derivatives do not depend on x and y, so only
+    the heading and speed of each stage are formed.
+    """
+    h = 0.5 * dt
+    vh = v + h * a  # speed at both midpoint stages
+    th2 = theta + h * (v * c)
+    k2t = vh * c
+    th3 = theta + h * k2t
+    v4 = v + dt * a
+    th4 = theta + dt * k2t  # the third stage's turn rate equals the second's
+    k4t = v4 * c
+    cos2, sin2 = math.cos(th2), math.sin(th2)
+    cos3, sin3 = math.cos(th3), math.sin(th3)
+    sixth = dt / 6.0
+    nx = x + sixth * (v * math.cos(theta) + 2.0 * (vh * cos2) + 2.0 * (vh * cos3)
+                      + v4 * math.cos(th4))
+    ny = y + sixth * (v * math.sin(theta) + 2.0 * (vh * sin2) + 2.0 * (vh * sin3)
+                      + v4 * math.sin(th4))
+    nth = theta + sixth * (v * c + 2.0 * k2t + 2.0 * k2t + k4t)
+    nv = v + sixth * (a + 2.0 * a + 2.0 * a + a)
+    if nv < 0.0:
+        nv = 0.0
+    elif nv > v_max:
+        nv = v_max
+    return nx, ny, nth, nv
 
 
 def integrate_step(z: State, u: Control, dt: float, p: RobotParams,
@@ -72,32 +100,17 @@ def integrate_step(z: State, u: Control, dt: float, p: RobotParams,
 
     The resulting speed is clamped to [0, v_max] and the heading renormalized.
     """
-    c, a = u.c, u.a
-    if method == "euler":
-        d = _deriv(z.x, z.y, z.theta, z.v, c, a)
-        nx = z.x + dt * d[0]
-        ny = z.y + dt * d[1]
-        nth = z.theta + dt * d[2]
-        nv = z.v + dt * d[3]
-    elif method == "rk4":
-        k1 = _deriv(z.x, z.y, z.theta, z.v, c, a)
-        h = 0.5 * dt
-        k2 = _deriv(z.x + h * k1[0], z.y + h * k1[1], z.theta + h * k1[2], z.v + h * k1[3], c, a)
-        k3 = _deriv(z.x + h * k2[0], z.y + h * k2[1], z.theta + h * k2[2], z.v + h * k2[3], c, a)
-        k4 = _deriv(z.x + dt * k3[0], z.y + dt * k3[1], z.theta + dt * k3[2], z.v + dt * k3[3], c, a)
-        sixth = dt / 6.0
-        nx = z.x + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        ny = z.y + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        nth = z.theta + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        nv = z.v + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-    else:
+    if method == "rk4":
+        return State(*rk4_step(z.x, z.y, z.theta, z.v, u.c, u.a, dt, p.v_max))
+    if method != "euler":
         raise ValueError(f"unknown integration method {method!r}")
-
+    nv = z.v + dt * u.a
     if nv < 0.0:
         nv = 0.0
     elif nv > p.v_max:
         nv = p.v_max
-    return State(nx, ny, nth, nv)
+    return State(z.x + dt * (z.v * math.cos(z.theta)), z.y + dt * (z.v * math.sin(z.theta)),
+                 z.theta + dt * (z.v * u.c), nv)
 
 
 def transform(z: State) -> TransformedState:

@@ -1,7 +1,11 @@
 """Tree-search planners: geometric, barrier-gated kinodynamic, and QP-steered.
 
-All planners share the Tree structure and are deterministic functions of
-(scenario, rng): a seeded generator reproduces the run bit for bit.
+`rrt` and `rrt-cbf-qp` grow a `Tree` of `State` objects with a
+nearest-neighbor index. The barrier-gated planners (`rrt-kbf`,
+`robust-rrt-kbf`) draw their parent uniformly instead, so they keep flat
+lists of (x, y, theta, v) tuples and build `State` objects only for the
+returned path. Every planner is a deterministic function of (scenario, rng):
+a seeded generator reproduces the run bit for bit.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ import time
 import numpy as np
 
 from .core import (Control, PlanResult, Scenario, State, UncertaintyBounds,
-                   Waypoint, combined_radius)
+                   Waypoint, combined_radius, wrap_angle)
 from .control import InfeasibleSafety, clf_cbf_qp_control, solve_lyapunov
-from .dynamics import PseudoControl, TransformedState, integrate_step, io_linearize
+from .dynamics import (PseudoControl, TransformedState, integrate_step, io_linearize,
+                       rk4_step)
 from .qp import ActiveSetQp
-from .safety import _a_and_s, barrier_value, sample_control
+from .safety import barrier_value, gate_value
 
 
 class NoPath(RuntimeError):
@@ -67,20 +72,20 @@ class Tree:
         d2 = (pts[:, 0] - qx) ** 2 + (pts[:, 1] - qy) ** 2
         return int(np.argmin(d2))  # argmin keeps the lowest index on ties
 
-    def path_indices(self, leaf: int) -> list[int]:
-        chain = []
-        i = leaf
-        while i >= 0:
-            chain.append(i)
-            i = self.parents[i]
-        chain.reverse()
-        return chain
 
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((self.parents[i], i) for i in range(1, self._count))
 
-    def node_positions(self) -> tuple[tuple[float, float], ...]:
-        return tuple((z.x, z.y) for z in self.states)
+def _path_indices(parents: list[int], leaf: int) -> list[int]:
+    """Node indices from the root to leaf."""
+    chain = []
+    while leaf >= 0:
+        chain.append(leaf)
+        leaf = parents[leaf]
+    chain.reverse()
+    return chain
+
+
+def _edges(parents: list[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((parents[i], i) for i in range(1, len(parents)))
 
 
 def nearest_neighbor(tree: Tree, q: tuple[float, float]) -> int:
@@ -170,7 +175,7 @@ def plan_rrt(s: Scenario, rng: np.random.Generator) -> PlanResult:
 
 def _geometric_plan(tree: Tree, leaf: int, v_nom: float, iterations: int,
                     started: float) -> PlanResult:
-    chain = tree.path_indices(leaf)
+    chain = _path_indices(tree.parents, leaf)
     waypoints = []
     t = 0.0
     for k, idx in enumerate(chain):
@@ -179,19 +184,24 @@ def _geometric_plan(tree: Tree, leaf: int, v_nom: float, iterations: int,
             prev = tree.states[chain[k - 1]]
             t += math.hypot(z.x - prev.x, z.y - prev.y) / v_nom
         waypoints.append(Waypoint(t, z, None))
-    return PlanResult(tuple(waypoints), tree.node_positions(), tree.edges(),
-                      iterations, time.perf_counter() - started)
+    return PlanResult(tuple(waypoints), tuple((z.x, z.y) for z in tree.states),
+                      _edges(tree.parents), iterations, time.perf_counter() - started)
 
 
-def _kbf_plan(tree: Tree, leaf: int, dt: float, iterations: int,
+def _kbf_plan(nodes, parents, controls, leaf: int, dt: float, iterations: int,
               started: float) -> PlanResult:
-    chain = tree.path_indices(leaf)
+    """Plan along the chain root..leaf of a tree whose edges hold one control.
+
+    nodes holds (x, y, theta, v) per node with theta already wrapped, and
+    controls the (c, a) held on the edge into each node.
+    """
+    chain = _path_indices(parents, leaf)
     waypoints = []
     for k, idx in enumerate(chain):
-        control = tree.controls[chain[k + 1]] if k + 1 < len(chain) else None
-        waypoints.append(Waypoint(k * dt, tree.states[idx], control))
-    return PlanResult(tuple(waypoints), tree.node_positions(), tree.edges(),
-                      iterations, time.perf_counter() - started)
+        control = Control(*controls[chain[k + 1]]) if k + 1 < len(chain) else None
+        waypoints.append(Waypoint(k * dt, State(*nodes[idx]), control))
+    return PlanResult(tuple(waypoints), tuple((n[0], n[1]) for n in nodes),
+                      _edges(parents), iterations, time.perf_counter() - started)
 
 
 def _plan_kbf_core(s: Scenario, rng: np.random.Generator, bounds: UncertaintyBounds | None,
@@ -208,63 +218,48 @@ def _plan_kbf_core(s: Scenario, rng: np.random.Generator, bounds: UncertaintyBou
     started = time.perf_counter()
     if _goal_reached(s.start, s):
         return _trivial_plan(s, started, 0)
-    tree = Tree(s.start)
-    states = tree.states
+    z0 = s.start
+    nodes = [(z0.x, z0.y, z0.theta, z0.v)]
+    parents = [-1]
+    controls = [None]
     robot = s.robot
     g1 = s.cbf.gamma1
     g2 = s.cbf.gamma2
     dt = s.planner.dt
-    wb = s.bounds
+    v_max = robot.v_max
+    xmin, xmax, ymin, ymax = s.bounds.xmin, s.bounds.xmax, s.bounds.ymin, s.bounds.ymax
     gx, gy = s.goal.x, s.goal.y
     tol2 = s.planner.goal_tolerance ** 2
     cmax = robot.c_max
     a_max = robot.a_max
-    obs = [(o.x, o.y, combined_radius(o, robot)) for o in s.obstacles]
-    robust = bounds is not None and (bounds.delta1_max != 0.0 or bounds.delta2_max != 0.0)
+    radii = [combined_radius(o, robot) for o in s.obstacles]
+    obs = [(o.x, o.y, r * r) for o, r in zip(s.obstacles, radii)]
     d1 = bounds.delta1_max if bounds is not None else 0.0
-    d2p = 1.0 + (bounds.delta2_max if bounds is not None else 0.0)
-    d2n = 1.0 - (bounds.delta2_max if bounds is not None else 0.0)
+    d2 = bounds.delta2_max if bounds is not None else 0.0
     uniform = rng.uniform
     integers = rng.integers
 
     for it in range(1, s.planner.max_iters + 1):
-        i = int(integers(0, len(states)))
-        z = states[i]
+        i = int(integers(0, len(nodes)))
+        x, y, theta, v = nodes[i]
         c = uniform(-cmax, cmax)
         a = uniform(0.0, a_max)
-
-        sin_t = math.sin(z.theta)
-        cos_t = math.cos(z.theta)
-        vx = z.v * cos_t
-        vy = z.v * sin_t
-        v2 = z.v * z.v
-        mu1 = -v2 * sin_t * c + cos_t * a
-        mu2 = v2 * cos_t * c + sin_t * a
-        ok = True
-        for ox, oy, r in obs:
-            A, sv = _a_and_s(z.x - ox, z.y - oy, vx, vy, mu1, mu2, r, g1, g2)
-            if robust:
-                A -= d1 * (abs(2.0 * (z.x - ox)) + abs(2.0 * (z.y - oy)))
-                sp = sv * d2p
-                sn = sv * d2n
-                sv = sp if sp < sn else sn
-            if A + sv < 0.0:
-                ok = False
-                break
+        ok = gate_value(x, y, theta, v, c, a, obs, g1, g2, d1, d2) >= 0.0
         if trace is not None:
             trace.append((i, c, a, ok))
         if not ok:
             continue
 
-        u = Control(c, a)
-        z2 = integrate_step(z, u, dt, robot)
-        if not (wb.xmin <= z2.x <= wb.xmax and wb.ymin <= z2.y <= wb.ymax):
+        nx, ny, nth, nv = rk4_step(x, y, theta, v, c, a, dt, v_max)
+        if not (xmin <= nx <= xmax and ymin <= ny <= ymax):
             continue
-        j = tree.add(z2, i, u)
-        ddx = z2.x - gx
-        ddy = z2.y - gy
+        nodes.append((nx, ny, wrap_angle(nth), nv))
+        parents.append(i)
+        controls.append((c, a))
+        ddx = nx - gx
+        ddy = ny - gy
         if ddx * ddx + ddy * ddy <= tol2:
-            return _kbf_plan(tree, j, dt, it, started)
+            return _kbf_plan(nodes, parents, controls, len(nodes) - 1, dt, it, started)
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 
@@ -369,7 +364,9 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator, *, k_sim: int = 10,
         for zs, us in chain:
             parent = tree.add(zs, parent, us)
         if reached:
-            return _kbf_plan(tree, parent, dt_sub, it, started)
+            nodes = [(z.x, z.y, z.theta, z.v) for z in tree.states]
+            controls = [None] + [(u.c, u.a) for u in tree.controls[1:]]
+            return _kbf_plan(nodes, tree.parents, controls, parent, dt_sub, it, started)
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 

@@ -64,15 +64,45 @@ def pseudo_accel(z: State, u: Control) -> tuple[float, float]:
     return (-v2 * s * u.c + c * u.a, v2 * c * u.c + s * u.a)
 
 
-def _a_and_s(dx: float, dy: float, vx: float, vy: float,
-             mu1: float, mu2: float, r: float, g1: float, g2: float):
-    """Condition pieces: returns (A, b mu) for one obstacle."""
-    B = dx * dx + dy * dy - r * r
-    Bdot = 2.0 * (dx * vx + dy * vy)
-    B1 = Bdot + g1 * B
-    A = g1 * Bdot + 2.0 * (vx * vx + vy * vy) + g2 * B1
-    s = 2.0 * (dx * mu1 + dy * mu2)
-    return A, s
+def gate_value(x: float, y: float, theta: float, v: float, c: float, a: float,
+               obstacles, g1: float, g2: float, d1: float = 0.0, d2: float = 0.0) -> float:
+    """The (robust) gate condition A + b mu for holding (c, a) at (x, y, theta, v).
+
+    obstacles holds (xo, yo, r*r) per obstacle, r the combined radius. Returns
+    the smallest value over the obstacles, or the first one that fails: the
+    gate passes iff the result is >= 0.0, so NaN fails closed. Nonzero bounds
+    (d1, d2) take the worst corner of the uncertainty box.
+    """
+    sin_t = math.sin(theta)
+    cos_t = math.cos(theta)
+    vx = v * cos_t
+    vy = v * sin_t
+    v2 = v * v
+    mu1 = -v2 * sin_t * c + cos_t * a
+    mu2 = v2 * cos_t * c + sin_t * a
+    kinetic = 2.0 * (vx * vx + vy * vy)
+    robust = d1 != 0.0 or d2 != 0.0
+    d2p = 1.0 + d2
+    d2n = 1.0 - d2
+    worst = math.inf
+    for xo, yo, r2 in obstacles:
+        dx = x - xo
+        dy = y - yo
+        Bdot = 2.0 * (dx * vx + dy * vy)
+        B1 = Bdot + g1 * (dx * dx + dy * dy - r2)
+        A = g1 * Bdot + kinetic + g2 * B1
+        s = 2.0 * (dx * mu1 + dy * mu2)
+        if robust:
+            A -= d1 * (abs(2.0 * dx) + abs(2.0 * dy))
+            sp = s * d2p
+            sn = s * d2n
+            s = sp if sp < sn else sn
+        value = A + s
+        if not value >= 0.0:
+            return value
+        if value < worst:
+            worst = value
+    return worst
 
 
 def barrier_terms(z: State, o: Obstacle, r: float, cbf: CbfParams) -> BarrierTerms:
@@ -89,23 +119,16 @@ def barrier_terms(z: State, o: Obstacle, r: float, cbf: CbfParams) -> BarrierTer
 
 def condition_terms(z: State, o: Obstacle, r: float, cbf: CbfParams):
     """(A, bx, by) of the gate condition A + b mu >= 0 at state z."""
-    dx = z.x - o.x
-    dy = z.y - o.y
-    vx = z.v * math.cos(z.theta)
-    vy = z.v * math.sin(z.theta)
-    A, _ = _a_and_s(dx, dy, vx, vy, 0.0, 0.0, r, cbf.gamma1, cbf.gamma2)
-    return A, 2.0 * dx, 2.0 * dy
+    # with zero control mu = 0, so the condition value is A itself
+    A = gate_value(z.x, z.y, z.theta, z.v, 0.0, 0.0, [(o.x, o.y, r * r)],
+                   cbf.gamma1, cbf.gamma2)
+    return A, 2.0 * (z.x - o.x), 2.0 * (z.y - o.y)
 
 
 def condition_value(z: State, u: Control, o: Obstacle, r: float, cbf: CbfParams) -> float:
     """Value of B1' + gamma2 B1 for a held physical control."""
-    dx = z.x - o.x
-    dy = z.y - o.y
-    vx = z.v * math.cos(z.theta)
-    vy = z.v * math.sin(z.theta)
-    mu1, mu2 = pseudo_accel(z, u)
-    A, s = _a_and_s(dx, dy, vx, vy, mu1, mu2, r, cbf.gamma1, cbf.gamma2)
-    return A + s
+    return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],
+                      cbf.gamma1, cbf.gamma2)
 
 
 def kbf_check(z: State, u: Control, o: Obstacle, r: float, cbf: CbfParams) -> bool:
@@ -115,13 +138,7 @@ def kbf_check(z: State, u: Control, o: Obstacle, r: float, cbf: CbfParams) -> bo
 
 def robust_terms(z: State, o: Obstacle, r: float, cbf: CbfParams,
                  bounds: UncertaintyBounds) -> RobustTerms:
-    dx = z.x - o.x
-    dy = z.y - o.y
-    vx = z.v * math.cos(z.theta)
-    vy = z.v * math.sin(z.theta)
-    A, _ = _a_and_s(dx, dy, vx, vy, 0.0, 0.0, r, cbf.gamma1, cbf.gamma2)
-    bx = 2.0 * dx
-    by = 2.0 * dy
+    A, bx, by = condition_terms(z, o, r, cbf)
     d1 = bounds.delta1_max
     d2 = bounds.delta2_max
     psi0 = A - d1 * (abs(bx) + abs(by))
@@ -133,16 +150,8 @@ def robust_terms(z: State, o: Obstacle, r: float, cbf: CbfParams,
 def robust_worst_value(z: State, u: Control, o: Obstacle, r: float,
                        cbf: CbfParams, bounds: UncertaintyBounds) -> float:
     """Worst value of the gate condition over the uncertainty box."""
-    dx = z.x - o.x
-    dy = z.y - o.y
-    vx = z.v * math.cos(z.theta)
-    vy = z.v * math.sin(z.theta)
-    mu1, mu2 = pseudo_accel(z, u)
-    A, s = _a_and_s(dx, dy, vx, vy, mu1, mu2, r, cbf.gamma1, cbf.gamma2)
-    psi0 = A - bounds.delta1_max * (abs(2.0 * dx) + abs(2.0 * dy))
-    sp = s * (1.0 + bounds.delta2_max)
-    sn = s * (1.0 - bounds.delta2_max)
-    return psi0 + (sp if sp < sn else sn)
+    return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],
+                      cbf.gamma1, cbf.gamma2, bounds.delta1_max, bounds.delta2_max)
 
 
 def robust_kbf_check(z: State, u: Control, o: Obstacle, r: float,

@@ -184,11 +184,14 @@ def min_barrier(traj: Trajectory):
     """Global minimum of the recorded barrier values.
 
     Returns (value, time, obstacle index), or None when the trajectory was
-    run with no obstacles (the minimum over an empty set).
+    run with no obstacles (the minimum over an empty set). The first NaN is
+    returned as soon as it is seen, so a broken run cannot look safe.
     """
     best = None
     for sample in traj.samples:
         for j, b in enumerate(sample.b_values):
+            if b != b:
+                return (b, sample.t, j)
             if best is None or b < best[0]:
                 best = (b, sample.t, j)
     return best

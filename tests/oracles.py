@@ -8,8 +8,12 @@ check.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
+
+from kbfplan.core import Control, PlanResult, State, Waypoint, combined_radius
+from kbfplan.planners import NoPath
 
 
 def solve_qp_enumeration(H, f, A, b, tol=1e-9):
@@ -96,3 +100,138 @@ def robust_worst_grid(A_val, bx, by, s_mu, d1_max, d2_max, n=21):
     g1x, g1y, g2 = np.meshgrid(d1x, d1y, d2, indexing="ij")
     vals = A_val + s_mu + bx * g1x + by * g1y + g2 * s_mu
     return float(vals.min())
+
+
+# ---------------------------------------------------------------------------
+# Loop-form reference of the barrier-gated planners: one State per node, the
+# RK4 step built from derivative tuples, and the gate math written out inline.
+# The flat-state planners must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+def _deriv(x, y, theta, v, c, a):
+    return (v * math.cos(theta), v * math.sin(theta), v * c, a)
+
+
+def reference_integrate_step(z, u, dt, p):
+    """RK4 step from the four stage-derivative tuples, speed clamped."""
+    c, a = u.c, u.a
+    k1 = _deriv(z.x, z.y, z.theta, z.v, c, a)
+    h = 0.5 * dt
+    k2 = _deriv(z.x + h * k1[0], z.y + h * k1[1], z.theta + h * k1[2], z.v + h * k1[3], c, a)
+    k3 = _deriv(z.x + h * k2[0], z.y + h * k2[1], z.theta + h * k2[2], z.v + h * k2[3], c, a)
+    k4 = _deriv(z.x + dt * k3[0], z.y + dt * k3[1], z.theta + dt * k3[2], z.v + dt * k3[3], c, a)
+    sixth = dt / 6.0
+    nx = z.x + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    ny = z.y + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    nth = z.theta + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    nv = z.v + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    if nv < 0.0:
+        nv = 0.0
+    elif nv > p.v_max:
+        nv = p.v_max
+    return State(nx, ny, nth, nv)
+
+
+class ReferenceTree:
+    """Append-only tree of State objects with per-edge controls."""
+
+    def __init__(self, root):
+        self.states = [root]
+        self.parents = [-1]
+        self.controls = [None]
+
+    def add(self, state, parent, control):
+        self.states.append(state)
+        self.parents.append(parent)
+        self.controls.append(control)
+        return len(self.states) - 1
+
+    def path_indices(self, leaf):
+        chain = []
+        i = leaf
+        while i >= 0:
+            chain.append(i)
+            i = self.parents[i]
+        chain.reverse()
+        return chain
+
+
+def reference_plan_kbf(s, rng, bounds=None, trace=None):
+    """rrt-kbf (bounds None) or robust-rrt-kbf, one State object per node."""
+    started = time.perf_counter()
+    dx0 = s.start.x - s.goal.x
+    dy0 = s.start.y - s.goal.y
+    tol = s.planner.goal_tolerance
+    if dx0 * dx0 + dy0 * dy0 <= tol * tol:
+        wp = Waypoint(0.0, s.start, None)
+        return PlanResult((wp,), ((s.start.x, s.start.y),), (), 0,
+                          time.perf_counter() - started)
+    tree = ReferenceTree(s.start)
+    states = tree.states
+    robot = s.robot
+    g1 = s.cbf.gamma1
+    g2 = s.cbf.gamma2
+    dt = s.planner.dt
+    wb = s.bounds
+    gx, gy = s.goal.x, s.goal.y
+    tol2 = s.planner.goal_tolerance ** 2
+    cmax = robot.c_max
+    a_max = robot.a_max
+    obs = [(o.x, o.y, combined_radius(o, robot)) for o in s.obstacles]
+    robust = bounds is not None and (bounds.delta1_max != 0.0 or bounds.delta2_max != 0.0)
+    d1 = bounds.delta1_max if bounds is not None else 0.0
+    d2p = 1.0 + (bounds.delta2_max if bounds is not None else 0.0)
+    d2n = 1.0 - (bounds.delta2_max if bounds is not None else 0.0)
+
+    for it in range(1, s.planner.max_iters + 1):
+        i = int(rng.integers(0, len(states)))
+        z = states[i]
+        c = rng.uniform(-cmax, cmax)
+        a = rng.uniform(0.0, a_max)
+
+        sin_t = math.sin(z.theta)
+        cos_t = math.cos(z.theta)
+        vx = z.v * cos_t
+        vy = z.v * sin_t
+        v2 = z.v * z.v
+        mu1 = -v2 * sin_t * c + cos_t * a
+        mu2 = v2 * cos_t * c + sin_t * a
+        ok = True
+        for ox, oy, r in obs:
+            dx = z.x - ox
+            dy = z.y - oy
+            B = dx * dx + dy * dy - r * r
+            Bdot = 2.0 * (dx * vx + dy * vy)
+            B1 = Bdot + g1 * B
+            A = g1 * Bdot + 2.0 * (vx * vx + vy * vy) + g2 * B1
+            sv = 2.0 * (dx * mu1 + dy * mu2)
+            if robust:
+                A -= d1 * (abs(2.0 * dx) + abs(2.0 * dy))
+                sp = sv * d2p
+                sn = sv * d2n
+                sv = sp if sp < sn else sn
+            if A + sv < 0.0:
+                ok = False
+                break
+        if trace is not None:
+            trace.append((i, c, a, ok))
+        if not ok:
+            continue
+
+        u = Control(c, a)
+        z2 = reference_integrate_step(z, u, dt, robot)
+        if not (wb.xmin <= z2.x <= wb.xmax and wb.ymin <= z2.y <= wb.ymax):
+            continue
+        j = tree.add(z2, i, u)
+        ddx = z2.x - gx
+        ddy = z2.y - gy
+        if ddx * ddx + ddy * ddy <= tol2:
+            chain = tree.path_indices(j)
+            waypoints = []
+            for k, idx in enumerate(chain):
+                control = tree.controls[chain[k + 1]] if k + 1 < len(chain) else None
+                waypoints.append(Waypoint(k * dt, tree.states[idx], control))
+            return PlanResult(tuple(waypoints), tuple((z.x, z.y) for z in tree.states),
+                              tuple((tree.parents[n], n) for n in range(1, len(states))),
+                              it, time.perf_counter() - started)
+    raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)

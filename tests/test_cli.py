@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,31 @@ def test_main_simulate(tmp_path):
     assert out.read_text().startswith("t,x,y,theta,v,c,a,minB,V,d")
 
 
+def test_main_simulate_fails_closed_on_barrier_violation(tmp_path, capsys):
+    # this seed's follower cuts into obstacle 4 of scenario4
+    out = tmp_path / "traj.csv"
+    code = main(["simulate", "--scenario", "scenario4", "--planner", "rrt-kbf",
+                 "--seed", "4072274708", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "min barrier -0.2252" in captured.out
+    assert "obstacles[4]" in captured.err and "-0.2252 at t=" in captured.err
+    assert out.read_text().startswith("t,x,y,theta,v,c,a,minB,V,d")
+
+
+def test_python_m_kbfplan_runs_the_cli():
+    import kbfplan
+
+    env = dict(os.environ)
+    src = str(Path(kbfplan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "kbfplan", "plan", "--scenario",
+                           "scenario1", "--seed", "3"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "rrt-kbf on scenario1: reached goal" in proc.stdout
+
+
 def test_main_bench(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["bench", "--scenario", "scenario1", "--planner", "rrt",
@@ -210,6 +239,12 @@ def test_main_exit_code_input_error(tmp_path):
     bad.write_text("{not json")
     assert main(["plan", "--scenario", str(bad)]) == 2
     assert main(["plan", "--scenario", str(tmp_path / "missing.json")]) == 2
+
+
+def test_main_exit_code_non_finite_obstacle(tmp_path, capsys):
+    doc = dict(MINIMAL, obstacles=[{"x": 2.0, "y": math.nan, "r": 0.5}])
+    assert main(["plan", "--scenario", str(write_json(tmp_path, doc))]) == 2
+    assert "NonFiniteParameter: obstacles[0]" in capsys.readouterr().err
 
 
 def test_main_exit_code_no_path(tmp_path):

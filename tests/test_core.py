@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kbfplan.core import (Bounds, CbfParams, ClfParams, Obstacle, ParseError,
                           PlannerConfig, RobotParams, Scenario,
@@ -33,6 +35,17 @@ def test_wrap_angle_range():
     assert wrap_angle(-math.pi) == math.pi
 
 
+@given(st.floats(-1e6, 1e6))
+@example(math.pi)
+@example(-math.pi)
+@example(-math.pi + 4.440892098500626e-16)
+@example(1e-17)
+def test_wrap_angle_idempotent(theta):
+    # planners store wrapped headings and rebuild States from them
+    w = wrap_angle(theta)
+    assert wrap_angle(w) == w
+
+
 def test_state_normalizes_heading():
     z = State(0.0, 0.0, 3.0 * math.pi, 1.0)
     assert z.theta == pytest.approx(math.pi)
@@ -61,6 +74,15 @@ def test_validate_negative_radius():
     assert "NonPositiveParameter" in kinds
     offending = [v for v in exc.value.violations if v.kind == "NonPositiveParameter"]
     assert any(v.value == -1.0 for v in offending)
+
+
+def test_validate_non_finite_obstacle_center():
+    for center in ((3.0, math.nan), (math.nan, 3.0), (math.inf, 3.0), (3.0, -math.inf)):
+        s = basic_scenario(obstacles=(Obstacle(*center, 1.0),))
+        with pytest.raises(ScenarioValidationError) as exc:
+            validate_scenario(s)
+        assert [(v.kind, v.field) for v in exc.value.violations] == \
+            [("NonFiniteParameter", "obstacles[0]")]
 
 
 def test_validate_start_in_collision():

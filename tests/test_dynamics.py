@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from oracles import circular_arc_state
+from oracles import circular_arc_state, reference_integrate_step
 
 from kbfplan.core import ClfParams, Control, RobotParams, State
 from kbfplan.dynamics import (ErrorState, PseudoControl, SingularDecoupling,
@@ -50,6 +52,19 @@ def test_integrate_coasting_preserves_heading_and_speed():
         z1 = integrate_step(z0, Control(0.0, 0.0), 0.3, ROBOT, "rk4")
         assert z1.v == z0.v
         assert z1.theta == z0.theta
+
+
+@given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-10, 10),
+       st.floats(0.0, ROBOT.v_max), st.floats(-2 * ROBOT.c_max, 2 * ROBOT.c_max),
+       st.floats(-5.0, 5.0), st.floats(1e-3, 2.0))
+@example(0.0, 0.0, 0.0, 0.1, 1.0, -5.0, 1.0)            # clamps at 0
+@example(0.0, 0.0, 0.0, ROBOT.v_max, 1.0, 1.0, 0.5)     # clamps at v_max
+@example(1.0, 2.0, math.pi, 0.5, -3.0, 0.3, 0.5)
+def test_integrate_step_matches_stage_tuple_reference(x, y, theta, v, c, a, dt):
+    z, u = State(x, y, theta, v), Control(c, a)
+    got = integrate_step(z, u, dt, ROBOT)
+    want = reference_integrate_step(z, u, dt, ROBOT)
+    assert (got.x, got.y, got.theta, got.v) == (want.x, want.y, want.theta, want.v)
 
 
 def test_rk4_order_gain_on_step_halving():

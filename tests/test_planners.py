@@ -1,9 +1,15 @@
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_plan_kbf
+
+from kbfplan.cli import load_bundled_scenario
 from kbfplan.core import (Bounds, CbfParams, Obstacle, PlannerConfig,
                           RobotParams, Scenario, State, UncertaintyBounds,
                           combined_radius, validate_scenario)
@@ -173,6 +179,75 @@ def test_robust_zero_bounds_identical_to_nominal():
                                  np.random.default_rng(seed), trace=tr_r)
         assert tr_n == tr_r
         assert same_plan(rn, rr)
+
+
+# -- flat-state planners against the loop-form reference --------------------
+
+def run_both(s, seed, bounds):
+    """Outcome, trace and final generator state of the shipped planner and of
+    the reference; the outcome is a PlanResult or the NoPath iteration count."""
+    runs = []
+    for planner in ("shipped", "reference"):
+        rng = np.random.default_rng(seed)
+        trace = []
+        try:
+            if planner == "reference":
+                out = reference_plan_kbf(s, rng, bounds, trace)
+            elif bounds is None:
+                out = plan_rrt_kbf(s, rng, trace=trace)
+            else:
+                out = plan_robust_rrt_kbf(s, bounds, rng, trace=trace)
+        except NoPath as exc:
+            out = exc.iterations
+        runs.append((out, trace, rng.bit_generator.state))
+    return runs
+
+
+def assert_identical(runs):
+    (a, trace_a, rng_a), (b, trace_b, rng_b) = runs
+    if isinstance(a, int) or isinstance(b, int):
+        assert a == b
+    else:
+        assert same_plan(a, b)
+    assert trace_a == trace_b
+    assert rng_a == rng_b
+
+
+EQUIVALENCE_BOUNDS = (None, UncertaintyBounds(0.0, 0.0), UncertaintyBounds(0.3, 0.3),
+                      UncertaintyBounds(0.0, 0.3))
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3", "scenario4"])
+def test_flat_planners_match_loop_reference(name):
+    s = load_bundled_scenario(name)
+    short = dataclasses.replace(s, planner=dataclasses.replace(s.planner, max_iters=40))
+    for seed in range(8):
+        for bounds in EQUIVALENCE_BOUNDS:
+            runs = run_both(s, seed, bounds)
+            assert not isinstance(runs[0][0], int)
+            assert_identical(runs)
+            runs = run_both(short, seed, bounds)
+            assert runs[0][0] == 40  # NoPath
+            assert_identical(runs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma1=st.floats(0.3, 10.0), gamma2=st.floats(0.3, 10.0),
+       dt=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
+       bounds=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.6))),
+       centers=st.lists(st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0),
+                                  st.floats(0.2, 1.0)), min_size=1, max_size=6))
+def test_flat_planners_match_loop_reference_property(gamma1, gamma2, dt, seed, bounds,
+                                                     centers):
+    robot = RobotParams()
+    obstacles = [Obstacle(x, y, r) for x, y, r in centers
+                 if math.hypot(x - 0.8, y - 0.5) >= r + robot.r_r]
+    s = validate_scenario(Scenario(
+        start=State(0.8, 0.5, 0.0, 0.0), goal=State(3.5, 3.5, 0.0, 0.0),
+        obstacles=tuple(obstacles), bounds=Bounds(0.0, 5.0, 0.0, 5.0), robot=robot,
+        cbf=CbfParams(gamma1, gamma2),
+        planner=PlannerConfig(dt=dt, goal_tolerance=0.6, max_iters=1000)))
+    assert_identical(run_both(s, seed, bounds and UncertaintyBounds(*bounds)))
 
 
 def test_robust_bounds_increase_clearance():

@@ -8,7 +8,7 @@ from oracles import robust_worst_grid
 from kbfplan.core import (CbfParams, Control, Obstacle, RobotParams, State,
                           UncertaintyBounds)
 from kbfplan.safety import (barrier_terms, barrier_value, condition_value,
-                            kbf_check, pseudo_accel, robust_kbf_check,
+                            gate_value, kbf_check, pseudo_accel, robust_kbf_check,
                             robust_terms, robust_worst_value, sample_control)
 
 CBF = CbfParams(1.0, 1.0)
@@ -141,6 +141,38 @@ def test_worst_value_matches_grid_oracle():
         grid = robust_worst_grid(t.A_val, t.b_row[0], t.b_row[1], s_mu,
                                  bounds.delta1_max, bounds.delta2_max)
         assert analytic == pytest.approx(grid, abs=1e-9)
+
+
+def test_gate_fails_closed_on_nan_obstacle():
+    z, u = State(0.0, 0.0, 0.0, 0.5), Control(0.0, 0.5)
+    safe = (5.0, 5.0, 1.0)
+    for bad in ((3.0, math.nan, 1.0), (math.nan, 0.0, 1.0), (3.0, 0.0, math.nan)):
+        for obstacles, bounds in (([bad], (0.0, 0.0)), ([safe, bad], (0.0, 0.0)),
+                                  ([safe, bad], (0.3, 0.3))):
+            value = gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, obstacles,
+                               1.0, 1.0, *bounds)
+            assert not value >= 0.0
+    assert not kbf_check(z, u, Obstacle(3.0, math.nan, 1.0), 1.25, CBF)
+    assert gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [safe], 1.0, 1.0) >= 0.0
+
+
+def test_gate_value_is_the_worst_obstacle_value():
+    rng = np.random.default_rng(79)
+    for _ in range(2000):
+        z, u, _, _, cbf = random_tuple(rng)
+        bounds = UncertaintyBounds(rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5))
+        obstacles = [Obstacle(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.2, 2.0))
+                     for _ in range(int(rng.integers(1, 5)))]
+        radii = [o.r + ROBOT.r_r for o in obstacles]
+        values = [robust_worst_value(z, u, o, r, cbf, bounds) for o, r in zip(obstacles, radii)]
+        value = gate_value(z.x, z.y, z.theta, z.v, u.c, u.a,
+                           [(o.x, o.y, r * r) for o, r in zip(obstacles, radii)],
+                           cbf.gamma1, cbf.gamma2, bounds.delta1_max, bounds.delta2_max)
+        if all(v >= 0.0 for v in values):
+            assert value == min(values)
+        else:
+            # stops at the first failing obstacle
+            assert value == next(v for v in values if v < 0.0)
 
 
 def test_barrier_value_uses_combined_radius():

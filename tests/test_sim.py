@@ -93,6 +93,12 @@ def test_min_barrier_hand_built():
     )
     traj = Trajectory(samples, 0.02)
     assert min_barrier(traj) == (1.0, 0.02, 0)
+    # a NaN barrier must surface, not hide behind a finite minimum
+    broken = samples[:1] + (
+        TrajectorySample(0.02, State(0, 0, 0, 0), Control(0, 0), (0, 0), (2.0, math.nan),
+                         0.0, 0.0),) + samples[1:]
+    value, t, j = min_barrier(Trajectory(broken, 0.02))
+    assert math.isnan(value) and (t, j) == (0.02, 1)
 
 
 def test_perceived_vs_true_obstacles_experiment():
