@@ -8,19 +8,15 @@ from .core import (Bounds, CbfParams, ClfParams, Control, Obstacle, ParseError,
                    ScenarioValidationError, State, UncertaintyBounds, Violation,
                    Waypoint, combined_radius, scenario_from_dict,
                    scenario_to_dict, validate_scenario, wrap_angle)
-from .dynamics import (ErrorState, PseudoControl, SingularDecoupling,
-                       TransformedState, g_matrix, integrate_step, io_linearize,
-                       pd_control, state_derivative, transform)
-from .qp import ActiveSetQp, QpProblem, QpSolution, QpStatus, solve_qp
+from .dynamics import (ErrorState, PseudoControl, TransformedState, integrate_step,
+                       io_linearize, pd_control, transform)
+from .qp import ActiveSetQp, QpProblem, QpSolution, QpStatus
 from .control import (ClfData, ClfTerms, InfeasibleSafety, NotHurwitz,
-                      clf_cbf_qp_control, clf_qp_control, clf_terms,
-                      solve_lyapunov)
-from .safety import (BarrierTerms, RobustTerms, barrier_terms, barrier_value,
-                     condition_value, kbf_check, pseudo_accel, robust_kbf_check,
-                     robust_terms, robust_worst_value, sample_control)
-from .planners import (NoPath, PLANNER_NAMES, Tree, nearest_neighbor, plan,
-                       plan_robust_rrt_kbf, plan_rrt, plan_rrt_cbf_qp,
-                       plan_rrt_kbf, point_segment_distance, segment_collision)
+                      clf_cbf_qp_control, clf_terms, solve_lyapunov)
+from .safety import barrier_value, kbf_check, robust_worst_value
+from .planners import (NoPath, PLANNER_NAMES, Tree, plan, plan_robust_rrt_kbf,
+                       plan_rrt, plan_rrt_cbf_qp, plan_rrt_kbf,
+                       point_segment_distance, segment_collision)
 from .sim import (ControllerInfeasible, TimeBudgetExceeded, Trajectory,
                   TrajectorySample, follow_path, min_barrier,
                   write_trajectory_csv)

@@ -16,7 +16,6 @@ import statistics
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -132,10 +131,9 @@ class BenchReport:
     fingerprint: str
 
 
-def _run_one(args) -> RunRecord:
-    planner_name, scenario, seed, d1, d2 = args
+def _run_one(planner_name: str, scenario: Scenario, seed: int,
+             bounds: UncertaintyBounds) -> RunRecord:
     rng = np.random.default_rng(seed)
-    bounds = UncertaintyBounds(d1, d2)
     tick = time.perf_counter()
     try:
         result = plan(planner_name, scenario, rng, bounds=bounds)
@@ -162,7 +160,7 @@ def _aggregate(planner: str, scenario: str, records: list[RunRecord]) -> BenchRo
 
 
 def run_bench(scenarios, planners, runs: int, seed_base: int = 0,
-              jobs: int = 1, bounds: UncertaintyBounds | None = None) -> BenchReport:
+              bounds: UncertaintyBounds | None = None) -> BenchReport:
     """Run each (planner, scenario) pair `runs` times with seeds
     seed_base..seed_base+runs-1, timing the planning call only.
 
@@ -171,28 +169,15 @@ def run_bench(scenarios, planners, runs: int, seed_base: int = 0,
     """
     if isinstance(scenarios, dict):
         scenarios = list(scenarios.items())
-    d1 = bounds.delta1_max if bounds is not None else 0.0
-    d2 = bounds.delta2_max if bounds is not None else 0.0
-
-    tasks = []
-    for planner_name in planners:
-        for name, scenario in scenarios:
-            for k in range(runs):
-                tasks.append((planner_name, scenario, seed_base + k, d1, d2))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, tasks, chunksize=4))
-    else:
-        results = [_run_one(t) for t in tasks]
+    if bounds is None:
+        bounds = UncertaintyBounds()
 
     records: dict = {}
-    i = 0
     rows = []
     for planner_name in planners:
-        for name, _ in scenarios:
-            recs = results[i:i + runs]
-            i += runs
+        for name, scenario in scenarios:
+            recs = [_run_one(planner_name, scenario, seed_base + k, bounds)
+                    for k in range(runs)]
             records[(planner_name, name)] = recs
             rows.append(_aggregate(planner_name, name, recs))
 
@@ -208,21 +193,6 @@ def write_bench_csv(report: BenchReport, path) -> None:
             fh.write(f"{r.planner},{r.scenario},{r.runs},{r.successes},"
                      f"{r.mean_s!r},{r.median_s!r},{r.std_s!r},"
                      f"{r.mean_len_m!r},{r.mean_clearance_m!r}\n")
-
-
-def read_bench_csv(path) -> tuple[BenchRow, ...]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != BENCH_CSV_HEADER:
-            raise ParseError(f"unexpected benchmark CSV header: {header!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 9:
-                raise ParseError(f"bad benchmark CSV row: {line!r}")
-            rows.append(BenchRow(parts[0], parts[1], int(parts[2]), int(parts[3]),
-                                 *(float(p) for p in parts[4:])))
-    return tuple(rows)
 
 
 def format_bench_table(report: BenchReport) -> str:
@@ -378,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default: rrt, rrt-kbf, rrt-cbf-qp)")
     p_bench.add_argument("--runs", type=int, default=100)
     p_bench.add_argument("--seed", type=int, default=0, help="base seed")
-    p_bench.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_bench.add_argument("--delta1", type=float, default=0.0)
     p_bench.add_argument("--delta2", type=float, default=0.0)
     p_bench.add_argument("--out", help="write the report CSV here")
@@ -457,7 +426,7 @@ def _cmd_bench(args) -> int:
     planners = args.planner or ["rrt", "rrt-kbf", "rrt-cbf-qp"]
     bounds = UncertaintyBounds(args.delta1, args.delta2)
     report = run_bench(scenarios, planners, args.runs, seed_base=args.seed,
-                       jobs=args.jobs, bounds=bounds)
+                       bounds=bounds)
     print(format_bench_table(report))
     if args.out:
         write_bench_csv(report, args.out)
@@ -495,3 +464,7 @@ def main(argv=None) -> int:
 
 def _script() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    _script()

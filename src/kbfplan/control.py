@@ -15,12 +15,11 @@ cost, so safety always wins over tracking when the two conflict.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CbfParams, ClfParams, Obstacle, RobotParams, State, combined_radius
+from .core import CbfParams, ClfParams, RobotParams, State, combined_radius
 from .dynamics import ErrorState, PseudoControl, TransformedState, pd_control, transform
 from .qp import ActiveSetQp, QpProblem, QpStatus
 from .safety import condition_terms
@@ -41,8 +40,6 @@ class ClfData:
     """Synthesized Lyapunov data for one gain setting."""
 
     P_lyap: np.ndarray  # 4x4, symmetric positive definite
-    F: np.ndarray       # 4x4 error-dynamics drift
-    G: np.ndarray       # 4x2 error-dynamics input map
     A_cl: np.ndarray    # 4x4 closed-loop matrix
     M: np.ndarray       # F'P + PF, cached for the Lie derivative
     PG: np.ndarray      # P G, cached for the input Lie derivative
@@ -72,7 +69,7 @@ def solve_lyapunov(clf: ClfParams) -> ClfData:
         raise ArithmeticError(f"Lyapunov solve residual {residual:.3e} exceeds tolerance")
     F = np.block([[Z2, I2], [Z2, Z2]])
     G = np.vstack([Z2, I2])
-    return ClfData(P_lyap=P, F=F, G=G, A_cl=A, M=F.T @ P + P @ F, PG=P @ G)
+    return ClfData(P_lyap=P, A_cl=A, M=F.T @ P + P @ F, PG=P @ G)
 
 
 def clf_terms(e: ErrorState, d: ClfData) -> ClfTerms:
@@ -84,43 +81,15 @@ def clf_terms(e: ErrorState, d: ClfData) -> ClfTerms:
     return ClfTerms(V, LfV, (float(lg[0]), float(lg[1])))
 
 
-def clf_qp_control(e: ErrorState, d: ClfData, clf: ClfParams,
-                   solver: ActiveSetQp | None = None) -> PseudoControl:
-    """Tracking-only controller: min ||mu - mu_pd||^2 s.t. the decrease row.
-
-    The PD law satisfies the decrease row with equality by construction, so
-    this returns mu_pd whenever that row is the only constraint; the QP form
-    exists so extra rows can be layered on top.
-    """
-    if solver is None:
-        solver = ActiveSetQp()
-    mu_pd = pd_control(e, clf)
-    t = clf_terms(e, d)
-    ea = np.asarray(e.e)
-    eqe = float(ea @ clf.Q @ ea)
-    prob = QpProblem(
-        H=2.0 * np.eye(2),
-        f=np.array([-2.0 * mu_pd.mu[0], -2.0 * mu_pd.mu[1]]),
-        A_ineq=np.array([[t.LgV[0], t.LgV[1]]]),
-        b_ineq=np.array([-t.LfV - eqe]),
-    )
-    sol = solver.solve(prob)
-    if sol.status is not QpStatus.OPTIMAL:
-        raise InfeasibleSafety(f"tracking QP returned {sol.status.value}")
-    return PseudoControl((float(sol.x[0]), float(sol.x[1])))
-
-
 def clf_cbf_qp_control(z: State, x_rm: TransformedState, obstacles,
                        robot: RobotParams, cbf: CbfParams, clf: ClfParams,
                        d: ClfData, solver: ActiveSetQp | None = None,
-                       mu_rm: tuple[float, float] = (0.0, 0.0),
-                       sensing_radius: float | None = None
+                       mu_rm: tuple[float, float] = (0.0, 0.0)
                        ) -> tuple[PseudoControl, float]:
     """Safety-filtered tracking controller.
 
     Decision variables are the error-system pseudo-control (mu1, mu2) and the
-    decrease-row slack dd. One hard barrier row is added per obstacle (all of
-    them by default, or only those whose center is within sensing_radius).
+    decrease-row slack dd. One hard barrier row is added per obstacle.
     The barrier condition constrains the plant acceleration mu_rm - mu, where
     mu_rm is the reference feedforward acceleration.
 
@@ -142,9 +111,6 @@ def clf_cbf_qp_control(z: State, x_rm: TransformedState, obstacles,
             [0.0, 0.0, -1.0]]            # slack nonnegativity
     rhs = [-t.LfV - eqe, 0.0]
     for o in obstacles:
-        if sensing_radius is not None:
-            if math.hypot(z.x - o.x, z.y - o.y) > sensing_radius:
-                continue
         A_val, bx, by = condition_terms(z, o, combined_radius(o, robot), cbf)
         # A + b (mu_rm - mu) >= 0  ->  b mu <= A + b mu_rm
         rows.append([bx, by, 0.0])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Collection
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class State:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", wrap_angle(self.theta))
-
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -280,9 +277,9 @@ def validate_scenario(s: Scenario) -> Scenario:
 # serialization
 # ---------------------------------------------------------------------------
 
-_STATE_KEYS = {"x", "y", "theta", "v"}
-_OBSTACLE_KEYS = {"x", "y", "r"}
-_BOUNDS_KEYS = {"xmin", "xmax", "ymin", "ymax"}
+_STATE_KEYS = ("x", "y", "theta", "v")
+_OBSTACLE_KEYS = ("x", "y", "r")
+_BOUNDS_KEYS = ("xmin", "xmax", "ymin", "ymax")
 _ROBOT_KEYS = {"L", "psi_max", "a_max", "v_max", "r_r"}
 _CBF_KEYS = {"gamma1", "gamma2"}
 _CLF_KEYS = {"K_P", "K_D", "Q", "penalty"}
@@ -290,28 +287,41 @@ _PLANNER_KEYS = {"step_size", "dt", "max_iters", "goal_tolerance", "seed"}
 _TOP_KEYS = {"start", "goal", "obstacles", "bounds", "robot", "cbf", "clf", "planner"}
 
 
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
+def _check_keys(d: Any, allowed: Collection[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ParseError(f"{where} must be a JSON object, not {type(d).__name__}")
     for k in d:
         if k not in allowed:
             raise ParseError(f"unknown key {k!r} in {where}")
 
 
-def _state_from_dict(d: dict, where: str) -> State:
-    _check_keys(d, _STATE_KEYS, where)
-    for required in ("x", "y"):
-        if required not in d:
-            raise ParseError(f"missing key {required!r} in {where}")
-    return State(float(d["x"]), float(d["y"]),
-                 float(d.get("theta", 0.0)), float(d.get("v", 0.0)))
+def _numbers(d: Any, allowed: Collection[str], where: str, required: Collection[str] = (),
+             ints: Collection[str] = ()) -> dict[str, Any]:
+    """The fields of the JSON object `where` as floats (ints for keys in ints)."""
+    _check_keys(d, allowed, where)
+    for k in required:
+        if k not in d:
+            raise ParseError(f"missing key {k!r} in {where}")
+    out = {}
+    for k, v in d.items():
+        try:
+            out[k] = int(v) if k in ints else float(v)
+        except (TypeError, ValueError):
+            raise ParseError(f"{where}.{k} must be a number, got {v!r}") from None
+    return out
+
+
+def _state_from_dict(d: Any, where: str) -> State:
+    f = _numbers(d, _STATE_KEYS, where, ("x", "y"))
+    return State(f["x"], f["y"], f.get("theta", 0.0), f.get("v", 0.0))
 
 
 def scenario_from_dict(d: dict) -> Scenario:
     """Build a Scenario from the JSON object form, applying defaults.
 
-    Unknown keys are rejected at every level so typos fail loudly.
+    Unknown keys are rejected at every level so typos fail loudly, and a
+    section of the wrong JSON type is a ParseError naming it.
     """
-    if not isinstance(d, dict):
-        raise ParseError("scenario document must be a JSON object")
     _check_keys(d, _TOP_KEYS, "scenario")
     for required in ("start", "goal", "bounds"):
         if required not in d:
@@ -319,43 +329,26 @@ def scenario_from_dict(d: dict) -> Scenario:
 
     start = _state_from_dict(d["start"], "start")
     goal = _state_from_dict(d["goal"], "goal")
+    bounds = Bounds(**_numbers(d["bounds"], _BOUNDS_KEYS, "bounds", _BOUNDS_KEYS))
 
-    bd = d["bounds"]
-    _check_keys(bd, _BOUNDS_KEYS, "bounds")
-    try:
-        bounds = Bounds(float(bd["xmin"]), float(bd["xmax"]),
-                        float(bd["ymin"]), float(bd["ymax"]))
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r} in bounds") from None
+    obstacle_list = d.get("obstacles", [])
+    if not isinstance(obstacle_list, list):
+        raise ParseError(f"obstacles must be a JSON array, not {type(obstacle_list).__name__}")
+    obstacles = [Obstacle(**_numbers(od, _OBSTACLE_KEYS, f"obstacles[{i}]", _OBSTACLE_KEYS))
+                 for i, od in enumerate(obstacle_list)]
 
-    obstacles = []
-    for i, od in enumerate(d.get("obstacles", [])):
-        _check_keys(od, _OBSTACLE_KEYS, f"obstacles[{i}]")
-        try:
-            obstacles.append(Obstacle(float(od["x"]), float(od["y"]), float(od["r"])))
-        except KeyError as exc:
-            raise ParseError(f"missing key {exc.args[0]!r} in obstacles[{i}]") from None
-
-    rd = d.get("robot", {})
-    _check_keys(rd, _ROBOT_KEYS, "robot")
-    robot = RobotParams(**{k: float(v) for k, v in rd.items()})
-
-    cd = d.get("cbf", {})
-    _check_keys(cd, _CBF_KEYS, "cbf")
-    cbf = CbfParams(**{k: float(v) for k, v in cd.items()})
+    robot = RobotParams(**_numbers(d.get("robot", {}), _ROBOT_KEYS, "robot"))
+    cbf = CbfParams(**_numbers(d.get("cbf", {}), _CBF_KEYS, "cbf"))
 
     ld = d.get("clf", {})
     _check_keys(ld, _CLF_KEYS, "clf")
-    clf = ClfParams(**ld)
+    try:
+        clf = ClfParams(**ld)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"clf: {exc}") from None
 
-    pd = d.get("planner", {})
-    _check_keys(pd, _PLANNER_KEYS, "planner")
-    kwargs: dict[str, Any] = {k: float(v) for k, v in pd.items() if k not in ("max_iters", "seed")}
-    if "max_iters" in pd:
-        kwargs["max_iters"] = int(pd["max_iters"])
-    if "seed" in pd:
-        kwargs["seed"] = int(pd["seed"])
-    planner = PlannerConfig(**kwargs)
+    planner = PlannerConfig(**_numbers(d.get("planner", {}), _PLANNER_KEYS, "planner",
+                                       ints=("max_iters", "seed")))
 
     return Scenario(start=start, goal=goal, obstacles=tuple(obstacles), bounds=bounds,
                     robot=robot, cbf=cbf, clf=clf, planner=planner)

@@ -20,15 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import ClfParams, Control, RobotParams, State
 
 V_EPS = 0.05  # m/s, regularization floor when inverting the decoupling matrix
-
-
-class SingularDecoupling(ArithmeticError):
-    """Decoupling matrix is singular (v below threshold) with regularization off."""
 
 
 @dataclass(frozen=True)
@@ -55,11 +49,6 @@ class ErrorState:
     @property
     def vel(self) -> tuple[float, float]:
         return (self.e[2], self.e[3])
-
-
-def state_derivative(z: State, u: Control) -> tuple[float, float, float, float]:
-    """Time derivative (dx, dy, dtheta, dv) of the bicycle model."""
-    return (z.v * math.cos(z.theta), z.v * math.sin(z.theta), z.v * u.c, u.a)
 
 
 def rk4_step(x: float, y: float, theta: float, v: float, c: float, a: float,
@@ -94,23 +83,12 @@ def rk4_step(x: float, y: float, theta: float, v: float, c: float, a: float,
     return nx, ny, nth, nv
 
 
-def integrate_step(z: State, u: Control, dt: float, p: RobotParams,
-                   method: str = "rk4") -> State:
-    """Advance the state one step under a held control.
+def integrate_step(z: State, u: Control, dt: float, p: RobotParams) -> State:
+    """Advance the state one RK4 step under a held control.
 
     The resulting speed is clamped to [0, v_max] and the heading renormalized.
     """
-    if method == "rk4":
-        return State(*rk4_step(z.x, z.y, z.theta, z.v, u.c, u.a, dt, p.v_max))
-    if method != "euler":
-        raise ValueError(f"unknown integration method {method!r}")
-    nv = z.v + dt * u.a
-    if nv < 0.0:
-        nv = 0.0
-    elif nv > p.v_max:
-        nv = p.v_max
-    return State(z.x + dt * (z.v * math.cos(z.theta)), z.y + dt * (z.v * math.sin(z.theta)),
-                 z.theta + dt * (z.v * u.c), nv)
+    return State(*rk4_step(z.x, z.y, z.theta, z.v, u.c, u.a, dt, p.v_max))
 
 
 def transform(z: State) -> TransformedState:
@@ -119,44 +97,31 @@ def transform(z: State) -> TransformedState:
                             (z.v * math.cos(z.theta), z.v * math.sin(z.theta)))
 
 
-def g_matrix(z: State) -> tuple[np.ndarray, float]:
-    """Decoupling matrix g(z) and its determinant -v^2."""
-    s, c = math.sin(z.theta), math.cos(z.theta)
-    v2 = z.v * z.v
-    g = np.array([[-v2 * s, c], [v2 * c, s]])
-    return g, -v2
-
-
-def io_linearize(z: State, mu: PseudoControl, p: RobotParams, *,
-                 v_eps: float = V_EPS, regularize: bool = True,
-                 saturate: bool = True) -> Control:
+def io_linearize(z: State, mu: PseudoControl, p: RobotParams) -> Control:
     """Map a commanded acceleration pair to a physical control, u = g^{-1} mu.
 
-    Near standstill the inverse blows up (det g = -v^2); by default g is
-    evaluated at v_reg = max(|v|, v_eps) instead. The result is saturated to
-    |c| <= tan(psi_max)/L and a in [-a_max, a_max] unless saturate=False.
+    Near standstill the inverse blows up (det g = -v^2), so g is evaluated at
+    v_reg = max(|v|, V_EPS) instead. The result is saturated to
+    |c| <= tan(psi_max)/L and a in [-a_max, a_max].
     """
     v = abs(z.v)
-    if v < v_eps:
-        if not regularize:
-            raise SingularDecoupling(f"decoupling singular at v={z.v}")
-        v = v_eps
+    if v < V_EPS:
+        v = V_EPS
     s, co = math.sin(z.theta), math.cos(z.theta)
     v2 = v * v
     m1, m2 = mu.mu
     # g^{-1} = [[-sin/v^2, cos/v^2], [cos, sin]]
     c = (-s * m1 + co * m2) / v2
     a = co * m1 + s * m2
-    if saturate:
-        cmax = p.c_max
-        if c > cmax:
-            c = cmax
-        elif c < -cmax:
-            c = -cmax
-        if a > p.a_max:
-            a = p.a_max
-        elif a < -p.a_max:
-            a = -p.a_max
+    cmax = p.c_max
+    if c > cmax:
+        c = cmax
+    elif c < -cmax:
+        c = -cmax
+    if a > p.a_max:
+        a = p.a_max
+    elif a < -p.a_max:
+        a = -p.a_max
     return Control(c, a)
 
 

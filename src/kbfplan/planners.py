@@ -88,11 +88,6 @@ def _edges(parents: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple((parents[i], i) for i in range(1, len(parents)))
 
 
-def nearest_neighbor(tree: Tree, q: tuple[float, float]) -> int:
-    """Index of the tree node whose position is closest to q (lowest on ties)."""
-    return tree.nearest(q[0], q[1])
-
-
 def point_segment_distance(px: float, py: float, ax: float, ay: float,
                            bx: float, by: float) -> float:
     """Distance from point (px, py) to the closed segment a-b."""
@@ -204,16 +199,30 @@ def _kbf_plan(nodes, parents, controls, leaf: int, dt: float, iterations: int,
                       _edges(parents), iterations, time.perf_counter() - started)
 
 
-def _plan_kbf_core(s: Scenario, rng: np.random.Generator, bounds: UncertaintyBounds | None,
-                   trace: list | None) -> PlanResult:
-    """Shared loop of the barrier-gated planners.
+def plan_rrt_kbf(s: Scenario, rng: np.random.Generator,
+                 trace: list | None = None) -> PlanResult:
+    """Barrier-gated kinodynamic planner.
+
+    Accepted edges hold a randomly sampled control for one dt; the stored
+    per-edge controls replay exactly through integrate_step, so the plan is
+    directly executable. This is plan_robust_rrt_kbf with zero bounds, which
+    evaluate the nominal gate.
+    """
+    return plan_robust_rrt_kbf(s, UncertaintyBounds(), rng, trace)
+
+
+def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
+                        rng: np.random.Generator,
+                        trace: list | None = None) -> PlanResult:
+    """Barrier-gated planner with the worst-case model-mismatch gate.
 
     Each iteration draws a uniformly random visited node and a uniformly
     random admissible control, accepts the pair iff the (robust) barrier
     condition holds at the node for every obstacle, and then integrates one
     control period to create the child node. Extensions leaving the workspace
     are discarded. With `trace` a (node, control, verdict) tuple is appended
-    per iteration, which is how the zero-bound reduction is audited.
+    per iteration, which is how the zero-bound reduction is audited: with
+    zero bounds the run is exactly that of plan_rrt_kbf.
     """
     started = time.perf_counter()
     if _goal_reached(s.start, s):
@@ -234,8 +243,8 @@ def _plan_kbf_core(s: Scenario, rng: np.random.Generator, bounds: UncertaintyBou
     a_max = robot.a_max
     radii = [combined_radius(o, robot) for o in s.obstacles]
     obs = [(o.x, o.y, r * r) for o, r in zip(s.obstacles, radii)]
-    d1 = bounds.delta1_max if bounds is not None else 0.0
-    d2 = bounds.delta2_max if bounds is not None else 0.0
+    d1 = bounds.delta1_max
+    d2 = bounds.delta2_max
     uniform = rng.uniform
     integers = rng.integers
 
@@ -263,42 +272,23 @@ def _plan_kbf_core(s: Scenario, rng: np.random.Generator, bounds: UncertaintyBou
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 
-def plan_rrt_kbf(s: Scenario, rng: np.random.Generator,
-                 trace: list | None = None) -> PlanResult:
-    """Barrier-gated kinodynamic planner.
-
-    Accepted edges hold a randomly sampled control for one dt; the stored
-    per-edge controls replay exactly through integrate_step, so the plan is
-    directly executable.
-    """
-    return _plan_kbf_core(s, rng, None, trace)
+K_SIM = 10               # rrt-cbf-qp steering horizon, control periods
+STEER_SPEED_FRAC = 0.6   # rrt-cbf-qp steering speed, fraction of v_max
+SAMPLE_TOLERANCE = 0.1   # m, rrt-cbf-qp extension ends this close to its sample
 
 
-def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
-                        rng: np.random.Generator,
-                        trace: list | None = None) -> PlanResult:
-    """Barrier-gated planner with the worst-case model-mismatch gate.
-
-    With zero bounds this reproduces plan_rrt_kbf exactly: same random
-    sequence, same accept/reject verdicts, same tree.
-    """
-    return _plan_kbf_core(s, rng, bounds, trace)
-
-
-def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator, *, k_sim: int = 10,
-                    steer_speed_frac: float = 0.6,
-                    sample_tolerance: float = 0.1) -> PlanResult:
+def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
     """Baseline that steers every extension with the safety-filtered QP.
 
     Each extension simulates the closed-loop tracking controller from the
-    nearest node toward the sampled point, for at most k_sim control periods
+    nearest node toward the sampled point, for at most K_SIM control periods
     of dt (ten controller ticks per period), stopping early on arrival at the
     sample or the goal. The chain is accepted only if every intermediate
     state kept all barriers nonnegative; a barrier dip or an infeasible tick
     discards the whole extension. Simulating the loop makes each extension
     orders of magnitude more expensive than a sampled-control gate, which is
     the point of carrying this baseline. The steering reference (constant
-    speed steer_speed_frac * v_max toward the sample) and the horizon cap are
+    speed STEER_SPEED_FRAC * v_max toward the sample) and the horizon cap are
     reconstruction choices, reported with benchmark output.
     """
     started = time.perf_counter()
@@ -307,13 +297,13 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator, *, k_sim: int = 10,
     tree = Tree(s.start)
     robot = s.robot
     dt_sub = s.planner.dt / 10.0
-    max_ticks = 10 * k_sim
+    max_ticks = 10 * K_SIM
     b = s.bounds
     radii = [combined_radius(o, s.robot) for o in s.obstacles]
     data = solve_lyapunov(s.clf)
     solver = ActiveSetQp()
-    v_ref = steer_speed_frac * robot.v_max
-    tol2 = sample_tolerance * sample_tolerance
+    v_ref = STEER_SPEED_FRAC * robot.v_max
+    tol2 = SAMPLE_TOLERANCE * SAMPLE_TOLERANCE
 
     for it in range(1, s.planner.max_iters + 1):
         qx = rng.uniform(b.xmin, b.xmax)
@@ -375,8 +365,8 @@ PLANNER_NAMES = ("rrt", "rrt-kbf", "robust-rrt-kbf", "rrt-cbf-qp")
 # carried into benchmark output so comparisons against the reconstructed
 # baseline state their assumptions
 CBF_QP_BASELINE_NOTE = ("rrt-cbf-qp baseline: closed-loop QP steering toward each "
-                        "sample, horizon k_sim*dt (k_sim=10), controller period "
-                        "dt/10, steer speed 0.6*v_max")
+                        f"sample, horizon K_SIM*dt (K_SIM={K_SIM}), controller period "
+                        f"dt/10, steer speed {STEER_SPEED_FRAC}*v_max")
 
 
 def plan(name: str, s: Scenario, rng: np.random.Generator,
@@ -387,7 +377,7 @@ def plan(name: str, s: Scenario, rng: np.random.Generator,
     if name == "rrt-kbf":
         return plan_rrt_kbf(s, rng)
     if name == "robust-rrt-kbf":
-        return plan_robust_rrt_kbf(s, bounds or UncertaintyBounds(0.0, 0.0), rng)
+        return plan_robust_rrt_kbf(s, bounds or UncertaintyBounds(), rng)
     if name == "rrt-cbf-qp":
         return plan_rrt_cbf_qp(s, rng)
     raise ValueError(f"unknown planner {name!r}; choose from {PLANNER_NAMES}")

@@ -74,21 +74,14 @@ class ActiveSetQp:
 
     The working set of the last optimal solve is retained and tried first on
     the next call, so repeated solves of slowly varying instances usually
-    cost a single KKT solve. Instances are cheap to clone and must not be
-    shared across threads.
+    cost a single KKT solve. Instances must not be shared across threads.
     """
 
     def __init__(self, max_iter: int = 100):
         self.max_iter = max_iter
         self._warm: tuple[int, ...] = ()
 
-    def clone(self) -> "ActiveSetQp":
-        other = ActiveSetQp(self.max_iter)
-        other._warm = self._warm
-        return other
-
-    def solve(self, prob: QpProblem, max_iter: int | None = None) -> QpSolution:
-        limit = self.max_iter if max_iter is None else max_iter
+    def solve(self, prob: QpProblem) -> QpSolution:
         H, f, A, b = prob.H, prob.f, prob.A_ineq, prob.b_ineq
         m = A.shape[0]
 
@@ -118,7 +111,7 @@ class ActiveSetQp:
             n_p = -A[p]  # inward normal of the incoming constraint
             lam_p = 0.0
             while True:
-                if changes >= limit:
+                if changes >= self.max_iter:
                     return QpSolution(None, math.nan, QpStatus.ITER_LIMIT,
                                       tuple(W), tuple(lam), changes)
                 hn = np.linalg.solve(H, n_p)
@@ -198,7 +191,3 @@ class ActiveSetQp:
         self._warm = active
         return QpSolution(x, obj, QpStatus.OPTIMAL, active, mults, iters)
 
-
-def solve_qp(prob: QpProblem, max_iter: int = 100) -> QpSolution:
-    """One-shot solve with a fresh solver (no warm start)."""
-    return ActiveSetQp(max_iter).solve(prob)

@@ -26,28 +26,8 @@ With zero bounds this reduces bit-for-bit to the nominal gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import (CbfParams, Control, Obstacle, RobotParams, State,
-                   UncertaintyBounds)
-
-
-@dataclass(frozen=True)
-class BarrierTerms:
-    B: float       # m^2
-    Bdot: float    # m^2/s
-    B1: float
-    # (constant part, row multiplying mu) of the second derivative
-    B1dot_affine: tuple[float, tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class RobustTerms:
-    A_val: float
-    b_row: tuple[float, float]
-    psi0_worst: float             # A under the worst additive disturbance
-    psi1_p: tuple[float, float]   # b (1 + delta2_max)
-    psi1_n: tuple[float, float]   # b (1 - delta2_max)
+from .core import CbfParams, Control, Obstacle, State, UncertaintyBounds
 
 
 def barrier_value(z: State, o: Obstacle, r: float) -> float:
@@ -55,13 +35,6 @@ def barrier_value(z: State, o: Obstacle, r: float) -> float:
     dx = z.x - o.x
     dy = z.y - o.y
     return dx * dx + dy * dy - r * r
-
-
-def pseudo_accel(z: State, u: Control) -> tuple[float, float]:
-    """Acceleration pair mu = g(z) u realized by holding u at state z."""
-    s, c = math.sin(z.theta), math.cos(z.theta)
-    v2 = z.v * z.v
-    return (-v2 * s * u.c + c * u.a, v2 * c * u.c + s * u.a)
 
 
 def gate_value(x: float, y: float, theta: float, v: float, c: float, a: float,
@@ -105,18 +78,6 @@ def gate_value(x: float, y: float, theta: float, v: float, c: float, a: float,
     return worst
 
 
-def barrier_terms(z: State, o: Obstacle, r: float, cbf: CbfParams) -> BarrierTerms:
-    dx = z.x - o.x
-    dy = z.y - o.y
-    vx = z.v * math.cos(z.theta)
-    vy = z.v * math.sin(z.theta)
-    B = dx * dx + dy * dy - r * r
-    Bdot = 2.0 * (dx * vx + dy * vy)
-    B1 = Bdot + cbf.gamma1 * B
-    const = cbf.gamma1 * Bdot + 2.0 * (vx * vx + vy * vy)
-    return BarrierTerms(B, Bdot, B1, (const, (2.0 * dx, 2.0 * dy)))
-
-
 def condition_terms(z: State, o: Obstacle, r: float, cbf: CbfParams):
     """(A, bx, by) of the gate condition A + b mu >= 0 at state z."""
     # with zero control mu = 0, so the condition value is A itself
@@ -125,26 +86,10 @@ def condition_terms(z: State, o: Obstacle, r: float, cbf: CbfParams):
     return A, 2.0 * (z.x - o.x), 2.0 * (z.y - o.y)
 
 
-def condition_value(z: State, u: Control, o: Obstacle, r: float, cbf: CbfParams) -> float:
-    """Value of B1' + gamma2 B1 for a held physical control."""
-    return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],
-                      cbf.gamma1, cbf.gamma2)
-
-
 def kbf_check(z: State, u: Control, o: Obstacle, r: float, cbf: CbfParams) -> bool:
     """Nominal gate: True (pass) iff the barrier condition holds at (z, u)."""
-    return condition_value(z, u, o, r, cbf) >= 0.0
-
-
-def robust_terms(z: State, o: Obstacle, r: float, cbf: CbfParams,
-                 bounds: UncertaintyBounds) -> RobustTerms:
-    A, bx, by = condition_terms(z, o, r, cbf)
-    d1 = bounds.delta1_max
-    d2 = bounds.delta2_max
-    psi0 = A - d1 * (abs(bx) + abs(by))
-    return RobustTerms(A, (bx, by), psi0,
-                       (bx * (1.0 + d2), by * (1.0 + d2)),
-                       (bx * (1.0 - d2), by * (1.0 - d2)))
+    return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],
+                      cbf.gamma1, cbf.gamma2) >= 0.0
 
 
 def robust_worst_value(z: State, u: Control, o: Obstacle, r: float,
@@ -152,21 +97,3 @@ def robust_worst_value(z: State, u: Control, o: Obstacle, r: float,
     """Worst value of the gate condition over the uncertainty box."""
     return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],
                       cbf.gamma1, cbf.gamma2, bounds.delta1_max, bounds.delta2_max)
-
-
-def robust_kbf_check(z: State, u: Control, o: Obstacle, r: float,
-                     cbf: CbfParams, bounds: UncertaintyBounds) -> bool:
-    """Robust gate: True iff the condition survives the worst model mismatch."""
-    return robust_worst_value(z, u, o, r, cbf, bounds) >= 0.0
-
-
-def sample_control(rng, p: RobotParams) -> Control:
-    """Draw a control uniformly over the admissible box.
-
-    Curvature is symmetric about zero; acceleration is forward-only, which is
-    what keeps planner speeds nonnegative.
-    """
-    cmax = p.c_max
-    c = rng.uniform(-cmax, cmax)
-    a = rng.uniform(0.0, p.a_max)
-    return Control(c, a)

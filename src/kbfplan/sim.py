@@ -71,24 +71,23 @@ class _PlanReference:
     timestamp the reference holds position with zero velocity.
     """
 
-    def __init__(self, plan: PlanResult, goal_xy: tuple[float, float] | None = None):
+    def __init__(self, plan: PlanResult, goal_xy: tuple[float, float]):
         wps = plan.waypoints
         self.times = [w.t for w in wps]
         self.px = [w.state.x for w in wps]
         self.py = [w.state.y for w in wps]
-        if goal_xy is not None:
-            dist = math.hypot(goal_xy[0] - self.px[-1], goal_xy[1] - self.py[-1])
-            if dist > 1e-9:
-                if len(self.times) > 1:
-                    last_span = self.times[-1] - self.times[-2]
-                    last_len = math.hypot(self.px[-1] - self.px[-2],
-                                          self.py[-1] - self.py[-2])
-                    speed = max(last_len / last_span, 0.1)
-                else:
-                    speed = 0.5
-                self.times.append(self.times[-1] + dist / speed)
-                self.px.append(goal_xy[0])
-                self.py.append(goal_xy[1])
+        dist = math.hypot(goal_xy[0] - self.px[-1], goal_xy[1] - self.py[-1])
+        if dist > 1e-9:
+            if len(self.times) > 1:
+                last_span = self.times[-1] - self.times[-2]
+                last_len = math.hypot(self.px[-1] - self.px[-2],
+                                      self.py[-1] - self.py[-2])
+                speed = max(last_len / last_span, 0.1)
+            else:
+                speed = 0.5
+            self.times.append(self.times[-1] + dist / speed)
+            self.px.append(goal_xy[0])
+            self.py.append(goal_xy[1])
         n = len(self.times)
         self.vx = [0.0] * n
         self.vy = [0.0] * n

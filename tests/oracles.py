@@ -103,6 +103,32 @@ def robust_worst_grid(A_val, bx, by, s_mu, d1_max, d2_max, n=21):
 
 
 # ---------------------------------------------------------------------------
+# The barrier condition A + b mu >= 0 and the decoupling matrix g(z), written
+# out from the formulas in the safety and dynamics module docstrings. They
+# share no code with safety.gate_value or dynamics.io_linearize.
+# ---------------------------------------------------------------------------
+
+def reference_g(z):
+    """g(z) = [[-v^2 sin(theta), cos(theta)], [v^2 cos(theta), sin(theta)]]."""
+    s, c = math.sin(z.theta), math.cos(z.theta)
+    v2 = z.v * z.v
+    return np.array([[-v2 * s, c], [v2 * c, s]])
+
+
+def reference_condition(z, u, o, r, cbf):
+    """(A, b, mu) of the condition A + b.mu >= 0 for holding u at z, mu = g(z) u."""
+    px, py = z.x - o.x, z.y - o.y
+    vx, vy = z.v * math.cos(z.theta), z.v * math.sin(z.theta)
+    B = px ** 2 + py ** 2 - r ** 2
+    Bdot = 2 * px * vx + 2 * py * vy
+    B1 = Bdot + cbf.gamma1 * B
+    A = cbf.gamma1 * Bdot + 2 * vx ** 2 + 2 * vy ** 2 + cbf.gamma2 * B1
+    b = np.array([2 * px, 2 * py])
+    mu = reference_g(z) @ np.array([u.c, u.a])
+    return A, b, mu
+
+
+# ---------------------------------------------------------------------------
 # Loop-form reference of the barrier-gated planners: one State per node, the
 # RK4 step built from derivative tuples, and the gate math written out inline.
 # The flat-state planners must reproduce it bit for bit.

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (circular_arc_state, random_qp, robust_worst_grid,
-                     solve_qp_enumeration)
+from oracles import (circular_arc_state, random_qp, reference_condition,
+                     robust_worst_grid, solve_qp_enumeration)
 
 from kbfplan.cli import inject_perception_error, load_bundled_scenario
 from kbfplan.core import (Bounds, CbfParams, ClfParams, Control, Obstacle,
@@ -24,9 +24,8 @@ from kbfplan.control import solve_lyapunov
 from kbfplan.dynamics import integrate_step
 from kbfplan.planners import (NoPath, plan_robust_rrt_kbf, plan_rrt,
                               plan_rrt_cbf_qp, plan_rrt_kbf)
-from kbfplan.qp import QpProblem, QpStatus, solve_qp
-from kbfplan.safety import kbf_check, pseudo_accel, robust_kbf_check, robust_terms, \
-    robust_worst_value
+from kbfplan.qp import ActiveSetQp, QpProblem, QpStatus
+from kbfplan.safety import kbf_check, robust_worst_value
 from kbfplan.sim import (ControllerInfeasible, TimeBudgetExceeded, follow_path,
                          min_barrier)
 
@@ -244,7 +243,7 @@ def test_criterion_6_qp_oracle_equivalence():
     for k in range(1000):
         H, f, A, b = random_qp(rng, n_max=3, m_max=4, force_infeasible=(k % 5 == 4))
         oracle = solve_qp_enumeration(H, f, A, b)
-        sol = solve_qp(QpProblem(H, f, A, b))
+        sol = ActiveSetQp().solve(QpProblem(H, f, A, b))
         if oracle is None:
             status_mismatch += sol.status is not QpStatus.INFEASIBLE
         elif sol.status is not QpStatus.OPTIMAL:
@@ -298,18 +297,17 @@ def test_criterion_8_robust_check_box_oracle():
         z, u, o, r, cbf = random_tuple()
         bounds = UncertaintyBounds(rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.9))
         analytic = robust_worst_value(z, u, o, r, cbf, bounds)
-        terms = robust_terms(z, o, r, cbf, bounds)
-        mu = pseudo_accel(z, u)
-        s_mu = terms.b_row[0] * mu[0] + terms.b_row[1] * mu[1]
-        grid = robust_worst_grid(terms.A_val, terms.b_row[0], terms.b_row[1],
-                                 s_mu, bounds.delta1_max, bounds.delta2_max)
+        A, b, mu = reference_condition(z, u, o, r, cbf)
+        grid = robust_worst_grid(A, b[0], b[1], float(b @ mu),
+                                 bounds.delta1_max, bounds.delta2_max)
         worst_gap = max(worst_gap, abs(analytic - grid))
 
     nest_violations = 0
     for _ in range(10_000):
         z, u, o, r, cbf = random_tuple()
         bounds = UncertaintyBounds(rng.uniform(0.0, 1.5), rng.uniform(0.0, 0.9))
-        if robust_kbf_check(z, u, o, r, cbf, bounds) and not kbf_check(z, u, o, r, cbf):
+        if robust_worst_value(z, u, o, r, cbf, bounds) >= 0.0 \
+                and not kbf_check(z, u, o, r, cbf):
             nest_violations += 1
 
     ok = worst_gap <= 1e-9 and nest_violations == 0
@@ -319,12 +317,12 @@ def test_criterion_8_robust_check_box_oracle():
 
 def test_criterion_9_dynamics_verification():
     robot = RobotParams()
-    z_full = integrate_step(State(0, 0, 0, 1), Control(1, 0), 0.1, robot, "rk4")
+    z_full = integrate_step(State(0, 0, 0, 1), Control(1, 0), 0.1, robot)
     exact_full = circular_arc_state(0, 0, 0, 1, 1, 0.1)
     err_full = math.sqrt(sum((a - b) ** 2 for a, b in zip(
         (z_full.x, z_full.y, z_full.theta, z_full.v), exact_full)))
 
-    z_half = integrate_step(State(0, 0, 0, 1), Control(1, 0), 0.05, robot, "rk4")
+    z_half = integrate_step(State(0, 0, 0, 1), Control(1, 0), 0.05, robot)
     exact_half = circular_arc_state(0, 0, 0, 1, 1, 0.05)
     err_half = math.sqrt(sum((a - b) ** 2 for a, b in zip(
         (z_half.x, z_half.y, z_half.theta, z_half.v), exact_half)))

@@ -3,13 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from kbfplan.core import CbfParams, ClfParams, Obstacle, RobotParams, State
+from oracles import reference_condition
+
+from kbfplan.core import (CbfParams, ClfParams, Control, Obstacle, RobotParams, State,
+                          combined_radius)
 from kbfplan.control import (InfeasibleSafety, NotHurwitz, clf_cbf_qp_control,
-                             clf_qp_control, clf_terms, solve_lyapunov)
+                             clf_terms, solve_lyapunov)
 from kbfplan.dynamics import ErrorState, TransformedState, pd_control, transform
 
 ROBOT = RobotParams()
 CBF = CbfParams(1.0, 1.0)
+
+
+def tracking_qp(e, d, clf):
+    """clf_cbf_qp_control with no obstacles, at the error e.
+
+    At standstill with heading 0 the plant's transformed state is zero, so a
+    reference equal to e gives the tracking error e exactly.
+    """
+    x_rm = TransformedState((e.e[0], e.e[1]), (e.e[2], e.e[3]))
+    mu, _ = clf_cbf_qp_control(State(0.0, 0.0, 0.0, 0.0), x_rm, (), ROBOT, CBF, clf, d)
+    return mu
 
 
 def random_spd(rng, n, scale=2.0):
@@ -70,8 +84,14 @@ def test_clf_value_quadratic_homogeneity():
 def test_clf_qp_zero_error():
     clf = ClfParams()
     d = solve_lyapunov(clf)
-    mu = clf_qp_control(ErrorState((0, 0, 0, 0)), d, clf)
-    assert mu.mu == pytest.approx((0.0, 0.0), abs=1e-12)
+    rng = np.random.default_rng(30)
+    for _ in range(50):
+        z = State(rng.uniform(-5, 5), rng.uniform(-5, 5),
+                  rng.uniform(-math.pi, math.pi), rng.uniform(0, 1.2))
+        x = transform(z)
+        mu, slack = clf_cbf_qp_control(z, x, (), ROBOT, CBF, clf, d)
+        assert mu.mu == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert slack == 0.0
 
 
 def test_clf_qp_returns_pd_when_row_satisfied():
@@ -80,7 +100,7 @@ def test_clf_qp_returns_pd_when_row_satisfied():
     rng = np.random.default_rng(31)
     for _ in range(100):
         e = ErrorState(tuple(rng.normal(size=4)))
-        mu = clf_qp_control(e, d, clf)
+        mu = tracking_qp(e, d, clf)
         mu_pd = pd_control(e, clf)
         assert np.allclose(mu.mu, mu_pd.mu, atol=1e-10)
 
@@ -91,7 +111,7 @@ def test_clf_qp_decrease_row_holds():
     rng = np.random.default_rng(37)
     for _ in range(1000):
         e = ErrorState(tuple(rng.normal(size=4)))
-        mu = clf_qp_control(e, d, clf)
+        mu = tracking_qp(e, d, clf)
         t = clf_terms(e, d)
         ea = np.asarray(e.e)
         row = t.LfV + t.LgV[0] * mu.mu[0] + t.LgV[1] * mu.mu[1] + float(ea @ clf.Q @ ea)
@@ -103,16 +123,18 @@ def test_clf_decrease_along_error_dynamics():
     d = solve_lyapunov(clf)
     rng = np.random.default_rng(41)
     dt = 0.01
+    F = np.block([[np.zeros((2, 2)), np.eye(2)], [np.zeros((2, 2)), np.zeros((2, 2))]])
+    G = np.vstack([np.zeros((2, 2)), np.eye(2)])
     for _ in range(100):
         e = rng.normal(size=4)
         v_prev = float(e @ d.P_lyap @ e)
         for _ in range(150):
-            mu = clf_qp_control(ErrorState(tuple(e)), d, clf)
-            de = d.F @ e + d.G @ np.array(mu.mu)
+            mu = tracking_qp(ErrorState(tuple(e)), d, clf)
+            de = F @ e + G @ np.array(mu.mu)
             # RK2 on the closed-loop error system
             e_mid = e + 0.5 * dt * de
-            mu_mid = clf_qp_control(ErrorState(tuple(e_mid)), d, clf)
-            e = e + dt * (d.F @ e_mid + d.G @ np.array(mu_mid.mu))
+            mu_mid = tracking_qp(ErrorState(tuple(e_mid)), d, clf)
+            e = e + dt * (F @ e_mid + G @ np.array(mu_mid.mu))
             v = float(e @ d.P_lyap @ e)
             assert v <= v_prev + 1e-6
             v_prev = v
@@ -139,16 +161,11 @@ def test_clf_cbf_qp_distant_obstacle_matches_clf_qp():
         x_rm = TransformedState((rng.uniform(-2, 2), rng.uniform(-2, 2)),
                                 (rng.uniform(-1, 1), rng.uniform(-1, 1)))
         mu_cbf, _ = clf_cbf_qp_control(z, x_rm, (far,), ROBOT, CBF, clf, d)
-        x = transform(z)
-        e = ErrorState((x_rm.x1[0] - x.x1[0], x_rm.x1[1] - x.x1[1],
-                        x_rm.x2[0] - x.x2[0], x_rm.x2[1] - x.x2[1]))
-        mu_clf = clf_qp_control(e, d, clf)
+        mu_clf, _ = clf_cbf_qp_control(z, x_rm, (), ROBOT, CBF, clf, d)
         assert np.allclose(mu_cbf.mu, mu_clf.mu, atol=1e-9)
 
 
 def test_clf_cbf_qp_barrier_rows_hold_near_obstacle():
-    from kbfplan.safety import condition_terms
-    from kbfplan.core import combined_radius
     clf = ClfParams()
     d = solve_lyapunov(clf)
     rng = np.random.default_rng(47)
@@ -166,9 +183,9 @@ def test_clf_cbf_qp_barrier_rows_hold_near_obstacle():
         except InfeasibleSafety:
             continue
         assert slack >= 0.0
-        A_val, bx, by = condition_terms(z, o, r, CBF)
+        A, b, _ = reference_condition(z, Control(0.0, 0.0), o, r, CBF)
         mu_plant = (-mu_e.mu[0], -mu_e.mu[1])
-        assert A_val + bx * mu_plant[0] + by * mu_plant[1] >= -1e-8
+        assert A + b[0] * mu_plant[0] + b[1] * mu_plant[1] >= -1e-8
 
 
 def test_clf_cbf_qp_penalty_monotone_in_slack():
@@ -196,20 +213,3 @@ def test_clf_cbf_qp_infeasible_raises():
     x = transform(z)
     with pytest.raises(InfeasibleSafety):
         clf_cbf_qp_control(z, TransformedState(x.x1, x.x2), obstacles, ROBOT, CBF, clf, d)
-
-
-def test_clf_cbf_qp_sensing_radius_filters_rows():
-    clf = ClfParams()
-    d = solve_lyapunov(clf)
-    z = State(0, 0, 0, 1.0)
-    x = transform(z)
-    near = Obstacle(1.2, 0.0, 0.4)
-    far = Obstacle(4.0, 0.0, 0.4)
-    mu_all, _ = clf_cbf_qp_control(z, TransformedState(x.x1, x.x2), (near, far),
-                                   ROBOT, CBF, clf, d)
-    mu_near, _ = clf_cbf_qp_control(z, TransformedState(x.x1, x.x2), (near, far),
-                                    ROBOT, CBF, clf, d, sensing_radius=2.0)
-    mu_only_near, _ = clf_cbf_qp_control(z, TransformedState(x.x1, x.x2), (near,),
-                                         ROBOT, CBF, clf, d)
-    assert np.allclose(mu_near.mu, mu_only_near.mu, atol=1e-12)
-    assert np.allclose(mu_all.mu, mu_near.mu, atol=1e-9)  # far row inactive anyway

@@ -5,31 +5,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import circular_arc_state, reference_integrate_step
+from oracles import circular_arc_state, reference_g, reference_integrate_step
 
 from kbfplan.core import ClfParams, Control, RobotParams, State
-from kbfplan.dynamics import (ErrorState, PseudoControl, SingularDecoupling,
-                              g_matrix, integrate_step, io_linearize, pd_control,
-                              state_derivative, transform)
+from kbfplan.dynamics import (V_EPS, ErrorState, PseudoControl, integrate_step,
+                              io_linearize, pd_control, transform)
 
 ROBOT = RobotParams()
 
 
-def test_state_derivative_examples():
-    assert state_derivative(State(0, 0, 0, 1), Control(0, 0)) == pytest.approx((1, 0, 0, 0))
-    assert state_derivative(State(0, 0, math.pi / 2, 2), Control(0, 1)) \
-        == pytest.approx((0, 2, 0, 1), abs=1e-12)
-    assert state_derivative(State(0, 0, 0, 1), Control(1, 0)) == pytest.approx((1, 0, 1, 0))
-
-
 def test_integrate_straight_line_exact():
-    for method in ("euler", "rk4"):
-        z = integrate_step(State(0, 0, 0, 1), Control(0, 0), 0.1, ROBOT, method)
-        assert (z.x, z.y, z.theta, z.v) == (0.1, 0.0, 0.0, 1.0)
+    z = integrate_step(State(0, 0, 0, 1), Control(0, 0), 0.1, ROBOT)
+    assert (z.x, z.y, z.theta, z.v) == (0.1, 0.0, 0.0, 1.0)
 
 
 def test_integrate_rk4_circular_arc():
-    z = integrate_step(State(0, 0, 0, 1), Control(1, 0), 0.1, ROBOT, "rk4")
+    z = integrate_step(State(0, 0, 0, 1), Control(1, 0), 0.1, ROBOT)
     exact = circular_arc_state(0, 0, 0, 1, 1, 0.1)
     assert z.x == pytest.approx(exact[0], abs=1e-6)
     assert z.y == pytest.approx(exact[1], abs=1e-6)
@@ -49,7 +40,7 @@ def test_integrate_coasting_preserves_heading_and_speed():
     for _ in range(50):
         z0 = State(rng.uniform(-5, 5), rng.uniform(-5, 5),
                    rng.uniform(-3, 3), rng.uniform(0, 1.2))
-        z1 = integrate_step(z0, Control(0.0, 0.0), 0.3, ROBOT, "rk4")
+        z1 = integrate_step(z0, Control(0.0, 0.0), 0.3, ROBOT)
         assert z1.v == z0.v
         assert z1.theta == z0.theta
 
@@ -68,8 +59,8 @@ def test_integrate_step_matches_stage_tuple_reference(x, y, theta, v, c, a, dt):
 
 
 def test_rk4_order_gain_on_step_halving():
-    z_full = integrate_step(State(0, 0, 0, 1), Control(1, 0), 0.1, ROBOT, "rk4")
-    z_half = integrate_step(State(0, 0, 0, 1), Control(1, 0), 0.05, ROBOT, "rk4")
+    z_full = integrate_step(State(0, 0, 0, 1), Control(1, 0), 0.1, ROBOT)
+    z_half = integrate_step(State(0, 0, 0, 1), Control(1, 0), 0.05, ROBOT)
     e_full = np.array(circular_arc_state(0, 0, 0, 1, 1, 0.1)) \
         - np.array((z_full.x, z_full.y, z_full.theta, z_full.v))
     e_half = np.array(circular_arc_state(0, 0, 0, 1, 1, 0.05)) \
@@ -95,25 +86,14 @@ def test_transform_speed_consistency():
         assert math.hypot(*t.x2) == pytest.approx(abs(z.v), abs=1e-12)
 
 
-def test_g_matrix_examples():
-    g, det = g_matrix(State(0, 0, 0, 1))
-    assert np.allclose(g, [[0, 1], [1, 0]])
-    assert det == -1.0
-    g, det = g_matrix(State(0, 0, 1.3, 0))
-    assert np.allclose(g[:, 0], 0.0)
-    assert det == 0.0
-    g, det = g_matrix(State(0, 0, math.pi / 2, 2))
-    assert np.allclose(g, [[-4, 0], [0, 1]], atol=1e-12)
-    assert det == -4.0
-
-
 def test_io_linearize_examples():
     u = io_linearize(State(0, 0, 0, 1), PseudoControl((0, 1)), ROBOT)
     assert (u.c, u.a) == pytest.approx((1, 0))
     u = io_linearize(State(0, 0, 0, 1), PseudoControl((1, 0)), ROBOT)
     assert (u.c, u.a) == pytest.approx((0, 1))
-    with pytest.raises(SingularDecoupling):
-        io_linearize(State(0, 0, 0, 0), PseudoControl((1, 0)), ROBOT, regularize=False)
+    # at standstill g is evaluated at speed V_EPS: c = mu2 / V_EPS^2
+    u = io_linearize(State(0, 0, 0, 0), PseudoControl((0, 0.001)), ROBOT)
+    assert (u.c, u.a) == pytest.approx((0.001 / V_EPS ** 2, 0))
 
 
 def test_io_linearize_inverts_g():
@@ -121,11 +101,10 @@ def test_io_linearize_inverts_g():
     for _ in range(300):
         z = State(rng.uniform(-5, 5), rng.uniform(-5, 5),
                   rng.uniform(-math.pi, math.pi), rng.uniform(0.2, 1.2))
-        mu = (rng.normal(), rng.normal())
-        u = io_linearize(z, PseudoControl(mu), ROBOT, saturate=False)
-        g, _ = g_matrix(z)
-        back = g @ np.array([u.c, u.a])
-        assert np.allclose(back, mu, atol=1e-9)
+        u = (rng.uniform(-ROBOT.c_max, ROBOT.c_max), rng.uniform(-ROBOT.a_max, ROBOT.a_max))
+        mu = reference_g(z) @ np.array(u)
+        back = io_linearize(z, PseudoControl((mu[0], mu[1])), ROBOT)
+        assert np.allclose((back.c, back.a), u, atol=1e-9)
 
 
 def test_io_linearize_saturates():

@@ -14,9 +14,8 @@ from kbfplan.core import (Bounds, CbfParams, Obstacle, PlannerConfig,
                           RobotParams, Scenario, State, UncertaintyBounds,
                           combined_radius, validate_scenario)
 from kbfplan.dynamics import integrate_step
-from kbfplan.planners import (NoPath, Tree, nearest_neighbor, plan,
-                              plan_robust_rrt_kbf, plan_rrt, plan_rrt_cbf_qp,
-                              plan_rrt_kbf, point_segment_distance,
+from kbfplan.planners import (NoPath, Tree, plan, plan_robust_rrt_kbf, plan_rrt,
+                              plan_rrt_cbf_qp, plan_rrt_kbf, point_segment_distance,
                               segment_collision)
 from kbfplan.safety import kbf_check
 
@@ -44,14 +43,14 @@ def open_scenario(goal=(3.0, 0.5), tol=0.6, obstacles=(), max_iters=50_000,
 
 def test_nearest_single_node():
     t = Tree(State(1.0, 1.0, 0.0, 0.0))
-    assert nearest_neighbor(t, (50.0, 50.0)) == 0
+    assert t.nearest(50.0, 50.0) == 0
 
 
 def test_nearest_strict_ordering():
     t = Tree(State(0.0, 0.0, 0.0, 0.0))
     t.add(State(10.0, 0.0, 0.0, 0.0), 0, None)
-    assert nearest_neighbor(t, (1.0, 0.0)) == 0
-    assert nearest_neighbor(t, (9.0, 0.0)) == 1
+    assert t.nearest(1.0, 0.0) == 0
+    assert t.nearest(9.0, 0.0) == 1
 
 
 def test_nearest_matches_linear_scan():
@@ -66,7 +65,7 @@ def test_nearest_matches_linear_scan():
         q = (rng.uniform(0, 10), rng.uniform(0, 10))
         d2 = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p in pts]
         best = min(range(len(pts)), key=lambda i: (d2[i], i))
-        assert nearest_neighbor(t, q) == best
+        assert t.nearest(*q) == best
 
 
 def test_point_segment_distance_cases():
@@ -145,19 +144,24 @@ def test_kbf_deterministic():
 def test_kbf_edges_replay_and_pass_gate():
     s = open_scenario(goal=(3.5, 1.2), obstacles=[Obstacle(2.2, 0.8, 0.45)])
     radii = [combined_radius(o, s.robot) for o in s.obstacles]
+    robust = UncertaintyBounds(0.3, 0.3)
     for seed in range(20):
-        result = plan_rrt_kbf(s, np.random.default_rng(seed))
-        for k in range(len(result.waypoints) - 1):
-            w = result.waypoints[k]
-            nxt = result.waypoints[k + 1]
-            # accepting check re-passes at the parent for every obstacle
-            for o, r in zip(s.obstacles, radii):
-                assert kbf_check(w.state, w.control, o, r, s.cbf)
-            # stored control reproduces the child state exactly
-            z = integrate_step(w.state, w.control, s.planner.dt, s.robot)
-            assert math.hypot(z.x - nxt.state.x, z.y - nxt.state.y) <= 1e-9
-            assert abs(z.theta - nxt.state.theta) <= 1e-9
-            assert abs(z.v - nxt.state.v) <= 1e-9
+        for result in (plan_rrt_kbf(s, np.random.default_rng(seed)),
+                       plan_robust_rrt_kbf(s, robust, np.random.default_rng(seed))):
+            for k in range(len(result.waypoints) - 1):
+                w = result.waypoints[k]
+                nxt = result.waypoints[k + 1]
+                # held controls come from the admissible box
+                assert -s.robot.c_max <= w.control.c <= s.robot.c_max
+                assert 0.0 <= w.control.a <= s.robot.a_max
+                # accepting check re-passes at the parent for every obstacle
+                for o, r in zip(s.obstacles, radii):
+                    assert kbf_check(w.state, w.control, o, r, s.cbf)
+                # stored control reproduces the child state exactly
+                z = integrate_step(w.state, w.control, s.planner.dt, s.robot)
+                assert math.hypot(z.x - nxt.state.x, z.y - nxt.state.y) <= 1e-9
+                assert abs(z.theta - nxt.state.theta) <= 1e-9
+                assert abs(z.v - nxt.state.v) <= 1e-9
 
 
 def test_kbf_tree_parent_structure():

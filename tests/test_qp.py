@@ -3,11 +3,11 @@ import pytest
 
 from oracles import random_qp, solve_qp_enumeration
 
-from kbfplan.qp import ActiveSetQp, QpProblem, QpSolution, QpStatus, solve_qp
+from kbfplan.qp import ActiveSetQp, QpProblem, QpStatus
 
 
 def test_unconstrained_minimum():
-    sol = solve_qp(QpProblem(2.0 * np.eye(2), [-4.0, 0.0], np.zeros((0, 2)), []))
+    sol = ActiveSetQp().solve(QpProblem(2.0 * np.eye(2), [-4.0, 0.0], np.zeros((0, 2)), []))
     assert sol.status is QpStatus.OPTIMAL
     assert np.allclose(sol.x, [2.0, 0.0])
     assert sol.objective == pytest.approx(-4.0)
@@ -16,7 +16,7 @@ def test_unconstrained_minimum():
 
 def test_halfline_projection():
     # min (x-2)^2 s.t. x <= 1
-    sol = solve_qp(QpProblem([[2.0]], [-4.0], [[1.0]], [1.0]))
+    sol = ActiveSetQp().solve(QpProblem([[2.0]], [-4.0], [[1.0]], [1.0]))
     assert sol.status is QpStatus.OPTIMAL
     assert sol.x[0] == pytest.approx(1.0)
     assert sol.active_set == (0,)
@@ -28,7 +28,7 @@ def test_matches_enumeration_oracle():
     for k in range(1000):
         H, f, A, b = random_qp(rng, force_infeasible=(k % 5 == 4))
         oracle = solve_qp_enumeration(H, f, A, b)
-        sol = solve_qp(QpProblem(H, f, A, b))
+        sol = ActiveSetQp().solve(QpProblem(H, f, A, b))
         if oracle is None:
             assert sol.status is QpStatus.INFEASIBLE, f"instance {k}"
         else:
@@ -41,7 +41,7 @@ def test_kkt_conditions_at_optimum():
     rng = np.random.default_rng(7)
     for _ in range(200):
         H, f, A, b = random_qp(rng)
-        sol = solve_qp(QpProblem(H, f, A, b))
+        sol = ActiveSetQp().solve(QpProblem(H, f, A, b))
         if sol.status is not QpStatus.OPTIMAL:
             continue
         if len(b):
@@ -59,7 +59,7 @@ def test_optimum_dominates_random_feasible_points():
     H, f, A, b = random_qp(rng, n_max=3, m_max=4)
     while len(b) == 0:
         H, f, A, b = random_qp(rng, n_max=3, m_max=4)
-    sol = solve_qp(QpProblem(H, f, A, b))
+    sol = ActiveSetQp().solve(QpProblem(H, f, A, b))
     assert sol.status is QpStatus.OPTIMAL
     n = len(f)
     tried = 0
@@ -79,14 +79,14 @@ def test_active_set_stable_under_dual_shift():
     checked = 0
     while checked < 50:
         H, f, A, b = random_qp(rng, n_max=3, m_max=4)
-        sol = solve_qp(QpProblem(H, f, A, b))
+        sol = ActiveSetQp().solve(QpProblem(H, f, A, b))
         if sol.status is not QpStatus.OPTIMAL or not sol.active_set:
             continue
         if min(sol.multipliers) < 1e-6:
             continue  # skip degenerate instances
         lam_hat = 0.5 * np.array(sol.multipliers)
         f2 = f + A[list(sol.active_set)].T @ lam_hat
-        sol2 = solve_qp(QpProblem(H, f2, A, b))
+        sol2 = ActiveSetQp().solve(QpProblem(H, f2, A, b))
         assert sol2.status is QpStatus.OPTIMAL
         assert sol2.active_set == sol.active_set
         assert np.allclose(sol2.x, sol.x, atol=1e-8)
@@ -97,8 +97,8 @@ def test_deterministic_solutions():
     rng = np.random.default_rng(17)
     for _ in range(50):
         H, f, A, b = random_qp(rng)
-        s1 = solve_qp(QpProblem(H, f, A, b))
-        s2 = solve_qp(QpProblem(H, f, A, b))
+        s1 = ActiveSetQp().solve(QpProblem(H, f, A, b))
+        s2 = ActiveSetQp().solve(QpProblem(H, f, A, b))
         assert s1.status == s2.status
         if s1.status is QpStatus.OPTIMAL:
             assert np.array_equal(s1.x, s2.x)
@@ -108,7 +108,7 @@ def test_deterministic_solutions():
 
 def test_infeasible_detection():
     # x <= 0 and -x <= -1 cannot both hold
-    sol = solve_qp(QpProblem([[2.0]], [0.0], [[1.0], [-1.0]], [0.0, -1.0]))
+    sol = ActiveSetQp().solve(QpProblem([[2.0]], [0.0], [[1.0], [-1.0]], [0.0, -1.0]))
     assert sol.status is QpStatus.INFEASIBLE
     assert sol.x is None
 
@@ -118,7 +118,7 @@ def test_iteration_limit_reported():
     f = np.array([-10.0, -10.0])
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 1.0, 1.5])
-    sol = ActiveSetQp().solve(QpProblem(H, f, A, b), max_iter=0)
+    sol = ActiveSetQp(max_iter=0).solve(QpProblem(H, f, A, b))
     assert sol.status is QpStatus.ITER_LIMIT
 
 
@@ -128,22 +128,11 @@ def test_warm_start_agrees_with_cold():
     for _ in range(100):
         H, f, A, b = random_qp(rng, n_max=3, m_max=4)
         warm = solver.solve(QpProblem(H, f, A, b))
-        cold = solve_qp(QpProblem(H, f, A, b))
+        cold = ActiveSetQp().solve(QpProblem(H, f, A, b))
         assert warm.status == cold.status
         if warm.status is QpStatus.OPTIMAL:
             assert np.allclose(warm.x, cold.x, atol=1e-8)
             assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
-
-
-def test_clone_is_independent():
-    solver = ActiveSetQp()
-    solver.solve(QpProblem([[2.0]], [-4.0], [[1.0]], [1.0]))
-    other = solver.clone()
-    assert other._warm == solver._warm == (0,)
-    # a solve whose constraint stays slack clears the clone's working set only
-    other.solve(QpProblem([[2.0]], [0.0], [[1.0]], [5.0]))
-    assert other._warm == ()
-    assert solver._warm == (0,)
 
 
 def test_problem_shape_validation():

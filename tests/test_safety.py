@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import robust_worst_grid
+from oracles import reference_condition, robust_worst_grid
 
-from kbfplan.core import (CbfParams, Control, Obstacle, RobotParams, State,
-                          UncertaintyBounds)
-from kbfplan.safety import (barrier_terms, barrier_value, condition_value,
-                            gate_value, kbf_check, pseudo_accel, robust_kbf_check,
-                            robust_terms, robust_worst_value, sample_control)
+from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
+                          RobotParams, Scenario, State, UncertaintyBounds)
+from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_kbf
+from kbfplan.safety import (barrier_value, condition_terms, gate_value, kbf_check,
+                            robust_worst_value)
 
 CBF = CbfParams(1.0, 1.0)
 ROBOT = RobotParams()
@@ -25,61 +25,66 @@ def random_tuple(rng):
     return z, u, o, r, cbf
 
 
+def nominal_value(z, u, o, r, cbf):
+    """The nominal gate condition A + b.mu for one obstacle."""
+    return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],
+                      cbf.gamma1, cbf.gamma2)
+
+
 def test_barrier_terms_examples():
-    t = barrier_terms(State(0, 0, 0, 1), Obstacle(5, 0, 1), 1.0, CBF)
-    assert (t.B, t.Bdot, t.B1) == (24.0, -10.0, 14.0)
-    t = barrier_terms(State(1.0, 0, 2.0, 0), Obstacle(0, 0, 1), 1.0, CBF)
-    assert (t.B, t.Bdot, t.B1) == (0.0, 0.0, 0.0)
-    t = barrier_terms(State(0, 0, 0, 2), Obstacle(2.2, 0, 1), 1.0, CBF)
-    assert t.B == pytest.approx(3.84)
-    assert t.Bdot == pytest.approx(-8.8)
-    assert t.B1 == pytest.approx(-4.96)
+    # B = 24, B' = -10, B1 = 14, so A = -10 + 2 + 14
+    assert barrier_value(State(0, 0, 0, 1), Obstacle(5, 0, 1), 1.0) == 24.0
+    assert condition_terms(State(0, 0, 0, 1), Obstacle(5, 0, 1), 1.0, CBF) == (6.0, -10.0, 0.0)
+    assert barrier_value(State(1.0, 0, 2.0, 0), Obstacle(0, 0, 1), 1.0) == 0.0
+    assert condition_terms(State(1.0, 0, 2.0, 0), Obstacle(0, 0, 1), 1.0, CBF) == (0.0, 2.0, 0.0)
+    # B = 3.84, B' = -8.8, B1 = -4.96, so A = -8.8 + 8 - 4.96
+    assert barrier_value(State(0, 0, 0, 2), Obstacle(2.2, 0, 1), 1.0) == pytest.approx(3.84)
+    A, bx, by = condition_terms(State(0, 0, 0, 2), Obstacle(2.2, 0, 1), 1.0, CBF)
+    assert (A, bx, by) == pytest.approx((-5.76, -4.4, 0.0))
 
 
 def test_barrier_affine_form_contracts_correctly():
     rng = np.random.default_rng(53)
     for _ in range(200):
         z, u, o, r, cbf = random_tuple(rng)
-        t = barrier_terms(z, o, r, cbf)
-        const, row = t.B1dot_affine
-        mu = pseudo_accel(z, u)
-        direct = const + row[0] * mu[0] + row[1] * mu[1]
-        # independent reconstruction of the second derivative
-        vx = z.v * math.cos(z.theta)
-        vy = z.v * math.sin(z.theta)
-        expected = (cbf.gamma1 * t.Bdot + 2 * vx * vx + 2 * vy * vy
-                    + 2 * (z.x - o.x) * mu[0] + 2 * (z.y - o.y) * mu[1])
-        assert direct == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        A, b, mu = reference_condition(z, u, o, r, cbf)
+        assert nominal_value(z, u, o, r, cbf) == pytest.approx(A + b @ mu, rel=1e-12, abs=1e-9)
+        A_c, bx, by = condition_terms(z, o, r, cbf)
+        assert A_c == pytest.approx(A, rel=1e-12, abs=1e-9)
+        assert (bx, by) == (b[0], b[1])
 
 
 def test_kbf_check_examples():
-    assert condition_value(State(0, 0, 0, 1), Control(0, 0), Obstacle(5, 0, 1), 1.0, CBF) \
+    assert nominal_value(State(0, 0, 0, 1), Control(0, 0), Obstacle(5, 0, 1), 1.0, CBF) \
         == pytest.approx(6.0)
     assert kbf_check(State(0, 0, 0, 1), Control(0, 0), Obstacle(5, 0, 1), 1.0, CBF)
 
-    assert condition_value(State(0, 0, 0, 2), Control(0, 0), Obstacle(2.2, 0, 1), 1.0, CBF) \
+    assert nominal_value(State(0, 0, 0, 2), Control(0, 0), Obstacle(2.2, 0, 1), 1.0, CBF) \
         == pytest.approx(-5.76)
     assert not kbf_check(State(0, 0, 0, 2), Control(0, 0), Obstacle(2.2, 0, 1), 1.0, CBF)
 
     # stationary on the boundary: the whole chain collapses to zero
-    assert condition_value(State(1.0, 0, 1.0, 0), Control(0, 0), Obstacle(0, 0, 1), 1.0, CBF) \
+    assert nominal_value(State(1.0, 0, 1.0, 0), Control(0, 0), Obstacle(0, 0, 1), 1.0, CBF) \
         == pytest.approx(0.0, abs=1e-12)
     assert kbf_check(State(1.0, 0, 1.0, 0), Control(0, 0), Obstacle(0, 0, 1), 1.0, CBF)
 
 
 def test_robust_terms_examples():
+    # A = 6 and b = (-10, 0); holding a = 1 at heading 0 gives mu = (1, 0)
     z = State(0, 0, 0, 1)
     o = Obstacle(5, 0, 1)
-    t = robust_terms(z, o, 1.0, CBF, UncertaintyBounds(0.0, 0.0))
-    assert t.psi0_worst == t.A_val == pytest.approx(6.0)
-    assert t.psi1_p == t.psi1_n == t.b_row == (-10.0, 0.0)
-
-    t = robust_terms(z, o, 1.0, CBF, UncertaintyBounds(0.5, 0.0))
-    assert t.psi0_worst == pytest.approx(1.0)
-
-    t = robust_terms(z, o, 1.0, CBF, UncertaintyBounds(0.0, 0.1))
-    assert t.psi1_p == pytest.approx((-11.0, 0.0))
-    assert t.psi1_n == pytest.approx((-9.0, 0.0))
+    u = Control(0, 1)
+    assert nominal_value(z, u, o, 1.0, CBF) == pytest.approx(-4.0)
+    assert robust_worst_value(z, u, o, 1.0, CBF, UncertaintyBounds(0.0, 0.0)) \
+        == pytest.approx(-4.0)
+    # additive corner: A - delta1 ||b||_1
+    assert robust_worst_value(z, u, o, 1.0, CBF, UncertaintyBounds(0.5, 0.0)) \
+        == pytest.approx(-9.0)
+    # multiplicative corner: min(b.mu (1 + delta2), b.mu (1 - delta2))
+    assert robust_worst_value(z, u, o, 1.0, CBF, UncertaintyBounds(0.0, 0.1)) \
+        == pytest.approx(-5.0)
+    assert robust_worst_value(z, Control(0, -1), o, 1.0, CBF, UncertaintyBounds(0.0, 0.1)) \
+        == pytest.approx(15.0)
 
 
 def test_robust_check_examples():
@@ -88,10 +93,8 @@ def test_robust_check_examples():
     o = Obstacle(5, 0, 1)
     assert robust_worst_value(z, u, o, 1.0, CBF, UncertaintyBounds(0.5, 0.0)) \
         == pytest.approx(1.0)
-    assert robust_kbf_check(z, u, o, 1.0, CBF, UncertaintyBounds(0.5, 0.0))
     assert robust_worst_value(z, u, o, 1.0, CBF, UncertaintyBounds(0.7, 0.0)) \
         == pytest.approx(-1.0)
-    assert not robust_kbf_check(z, u, o, 1.0, CBF, UncertaintyBounds(0.7, 0.0))
 
 
 def test_zero_bounds_reduce_to_nominal_exactly():
@@ -99,10 +102,10 @@ def test_zero_bounds_reduce_to_nominal_exactly():
     zero = UncertaintyBounds(0.0, 0.0)
     for _ in range(10_000):
         z, u, o, r, cbf = random_tuple(rng)
-        nominal = condition_value(z, u, o, r, cbf)
+        nominal = nominal_value(z, u, o, r, cbf)
         worst = robust_worst_value(z, u, o, r, cbf, zero)
         assert worst == nominal  # bit-identical, not just close
-        assert robust_kbf_check(z, u, o, r, cbf, zero) == kbf_check(z, u, o, r, cbf)
+        assert (worst >= 0.0) == kbf_check(z, u, o, r, cbf)
 
 
 def test_robust_pass_nested_in_nominal_pass():
@@ -111,7 +114,7 @@ def test_robust_pass_nested_in_nominal_pass():
     for _ in range(10_000):
         z, u, o, r, cbf = random_tuple(rng)
         bounds = UncertaintyBounds(rng.uniform(0.0, 1.5), rng.uniform(0.0, 0.9))
-        if robust_kbf_check(z, u, o, r, cbf, bounds) and not kbf_check(z, u, o, r, cbf):
+        if robust_worst_value(z, u, o, r, cbf, bounds) >= 0.0 and not kbf_check(z, u, o, r, cbf):
             violations += 1
     assert violations == 0
 
@@ -125,8 +128,8 @@ def test_worst_value_monotone_in_bounds():
         small = robust_worst_value(z, u, o, r, cbf, UncertaintyBounds(d1a, d2a))
         big = robust_worst_value(z, u, o, r, cbf, UncertaintyBounds(d1b, d2b))
         assert big <= small + 1e-12
-        if robust_kbf_check(z, u, o, r, cbf, UncertaintyBounds(d1b, d2b)):
-            assert robust_kbf_check(z, u, o, r, cbf, UncertaintyBounds(d1a, d2a))
+        if big >= 0.0:
+            assert small >= 0.0
 
 
 def test_worst_value_matches_grid_oracle():
@@ -135,10 +138,8 @@ def test_worst_value_matches_grid_oracle():
         z, u, o, r, cbf = random_tuple(rng)
         bounds = UncertaintyBounds(rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.9))
         analytic = robust_worst_value(z, u, o, r, cbf, bounds)
-        t = robust_terms(z, o, r, cbf, bounds)
-        mu = pseudo_accel(z, u)
-        s_mu = t.b_row[0] * mu[0] + t.b_row[1] * mu[1]
-        grid = robust_worst_grid(t.A_val, t.b_row[0], t.b_row[1], s_mu,
+        A, b, mu = reference_condition(z, u, o, r, cbf)
+        grid = robust_worst_grid(A, b[0], b[1], float(b @ mu),
                                  bounds.delta1_max, bounds.delta2_max)
         assert analytic == pytest.approx(grid, abs=1e-9)
 
@@ -182,25 +183,40 @@ def test_barrier_value_uses_combined_radius():
     assert barrier_value(z, o, r) == pytest.approx(4.0 - r * r)
 
 
+def far_goal_scenario(max_iters):
+    """A goal the barrier-gated planners do not reach within max_iters."""
+    return Scenario(start=State(0.5, 0.5, 0.0, 0.0), goal=State(9.5, 9.5, 0.0, 0.0),
+                    obstacles=(Obstacle(5.0, 5.0, 1.0),), bounds=Bounds(0.0, 10.0, 0.0, 10.0),
+                    planner=PlannerConfig(max_iters=max_iters))
+
+
 def test_sample_control_bounds_and_moments():
-    rng = np.random.default_rng(73)
-    n = 10_000
-    cs, accs = [], []
-    for _ in range(n):
-        u = sample_control(rng, ROBOT)
-        assert -ROBOT.c_max <= u.c <= ROBOT.c_max
-        assert 0.0 <= u.a <= ROBOT.a_max
-        cs.append(u.c)
-        accs.append(u.a)
-    # uniform moments: mean a = a_max/2 within 3 sigma / sqrt(n)
-    sigma = ROBOT.a_max / math.sqrt(12.0)
-    assert abs(np.mean(accs) - ROBOT.a_max / 2) <= 3 * sigma / math.sqrt(n)
-    assert abs(np.mean(cs)) <= 3 * (2 * ROBOT.c_max / math.sqrt(12)) / math.sqrt(n)
+    # the barrier-gated planners draw (c, a) uniformly over
+    # [-c_max, c_max] x [0, a_max]; the trace records every draw
+    s = far_goal_scenario(10_000)
+    for bounds in (UncertaintyBounds(), UncertaintyBounds(0.3, 0.3)):
+        trace = []
+        with pytest.raises(NoPath):
+            plan_robust_rrt_kbf(s, bounds, np.random.default_rng(73), trace)
+        n = len(trace)
+        cs = np.array([c for _, c, _, _ in trace])
+        accs = np.array([a for _, _, a, _ in trace])
+        assert n == 10_000
+        assert np.all((-ROBOT.c_max <= cs) & (cs <= ROBOT.c_max))
+        assert np.all((0.0 <= accs) & (accs <= ROBOT.a_max))
+        # uniform moments: mean within 3 sigma / sqrt(n)
+        sigma = ROBOT.a_max / math.sqrt(12.0)
+        assert abs(np.mean(accs) - ROBOT.a_max / 2) <= 3 * sigma / math.sqrt(n)
+        assert abs(np.mean(cs)) <= 3 * (2 * ROBOT.c_max / math.sqrt(12)) / math.sqrt(n)
 
 
 def test_sample_control_deterministic():
-    g1 = np.random.default_rng(9)
-    g2 = np.random.default_rng(9)
-    seq1 = [sample_control(g1, ROBOT) for _ in range(100)]
-    seq2 = [sample_control(g2, ROBOT) for _ in range(100)]
-    assert seq1 == seq2
+    s = far_goal_scenario(100)
+    traces = [[], [], []]
+    for trace in traces[:2]:
+        with pytest.raises(NoPath):
+            plan_rrt_kbf(s, np.random.default_rng(9), trace)
+    with pytest.raises(NoPath):
+        plan_rrt_kbf(s, np.random.default_rng(10), traces[2])
+    assert traces[0] == traces[1]
+    assert traces[0] != traces[2]
