@@ -77,10 +77,11 @@ def inject_perception_error(s: Scenario, pos_err: float, radius_err: float,
     Every center moves exactly pos_err meters in a uniformly random
     direction; every radius shifts by a uniform draw in [-radius_err,
     radius_err], clamped to stay positive (with a warning). The caller keeps
-    the original scenario as ground truth.
+    the original scenario as ground truth. Raises ValueError unless both
+    magnitudes are finite and >= 0.
     """
-    if pos_err < 0.0 or radius_err < 0.0:
-        raise ValueError("perception error magnitudes must be >= 0")
+    if not (0.0 <= pos_err < math.inf and 0.0 <= radius_err < math.inf):
+        raise ValueError("perception error magnitudes must be finite and >= 0")
     perturbed = []
     for o in s.obstacles:
         phi = rng.uniform(0.0, 2.0 * math.pi)
@@ -127,7 +128,6 @@ class BenchRow:
 class BenchReport:
     rows: tuple[BenchRow, ...]
     records: dict  # (planner, scenario) -> list[RunRecord]; not serialized
-    seed_base: int
     fingerprint: str
 
 
@@ -160,18 +160,13 @@ def _aggregate(planner: str, scenario: str, records: list[RunRecord]) -> BenchRo
 
 
 def run_bench(scenarios, planners, runs: int, seed_base: int = 0,
-              bounds: UncertaintyBounds | None = None) -> BenchReport:
+              bounds: UncertaintyBounds = UncertaintyBounds()) -> BenchReport:
     """Run each (planner, scenario) pair `runs` times with seeds
     seed_base..seed_base+runs-1, timing the planning call only.
 
-    `scenarios` is a list of (name, Scenario) pairs or a dict. Statistics
-    are over successful runs; failures only show up in the success count.
+    `scenarios` is a list of (name, Scenario) pairs. Statistics are over
+    successful runs; failures only show up in the success count.
     """
-    if isinstance(scenarios, dict):
-        scenarios = list(scenarios.items())
-    if bounds is None:
-        bounds = UncertaintyBounds()
-
     records: dict = {}
     rows = []
     for planner_name in planners:
@@ -183,7 +178,7 @@ def run_bench(scenarios, planners, runs: int, seed_base: int = 0,
 
     fingerprint = (f"kbfplan {__version__} | python {platform.python_version()} "
                    f"| {platform.machine()} | seed_base {seed_base}")
-    return BenchReport(tuple(rows), records, seed_base, fingerprint)
+    return BenchReport(tuple(rows), records, fingerprint)
 
 
 def write_bench_csv(report: BenchReport, path) -> None:
@@ -212,7 +207,7 @@ def format_bench_table(report: BenchReport) -> str:
 # SVG rendering
 # ---------------------------------------------------------------------------
 
-def emit_svg(result, scenario: Scenario, path, size: int = 640) -> None:
+def emit_svg(result, scenario: Scenario, path) -> None:
     """Render the workspace to an SVG file.
 
     Obstacles appear as two circles each (solid body, dashed inflation by the
@@ -224,7 +219,7 @@ def emit_svg(result, scenario: Scenario, path, size: int = 640) -> None:
     margin = 0.05 * max(b.xmax - b.xmin, b.ymax - b.ymin)
     x0, x1 = b.xmin - margin, b.xmax + margin
     y0, y1 = b.ymin - margin, b.ymax + margin
-    scale = size / max(x1 - x0, y1 - y0)
+    scale = 640 / max(x1 - x0, y1 - y0)  # px on the longer side
     width = (x1 - x0) * scale
     height = (y1 - y0) * scale
 
@@ -389,7 +384,7 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else scenario.planner.seed
     rng = np.random.default_rng(seed)
     perceived = scenario
-    if args.pos_err > 0.0 or args.radius_err > 0.0:
+    if args.pos_err != 0.0 or args.radius_err != 0.0:
         perceived = inject_perception_error(scenario, args.pos_err, args.radius_err, rng)
     bounds = UncertaintyBounds(args.delta1, args.delta2)
     try:

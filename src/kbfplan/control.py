@@ -1,16 +1,17 @@
-"""Lyapunov-based tracking control: gain synthesis and the QP feedback laws.
+"""Lyapunov-based tracking control: gain synthesis and the safety-filtered QP law.
 
-The tracking error e = x_ref - x obeys the double-integrator error dynamics
-de/dt = F e + G mu with F = [[0, I], [0, 0]], G = [0; I]. Closing the loop
-with mu = [-K_P -K_D] e gives A_cl = [[0, I], [-K_P, -K_D]]; the quadratic
-form V = e'Pe with A_cl' P + P A_cl = -Q certifies its stability, and the
-decrease condition
+The tracking error e = x_ref - x (the 4-tuple of dynamics.tracking_error)
+obeys the double-integrator error dynamics de/dt = F e + G mu with
+F = [[0, I], [0, 0]], G = [0; I]. Closing the loop with mu = [-K_P -K_D] e
+gives A_cl = [[0, I], [-K_P, -K_D]]; the quadratic form V = e'Pe with
+A_cl' P + P A_cl = -Q certifies its stability, and the decrease condition
 
     LfV + LgV mu + e'Qe <= 0
 
-is imposed as a QP row. The obstacle-avoidance controller keeps the barrier
-rows hard and relaxes the decrease row by a slack d >= 0 penalized in the
-cost, so safety always wins over tracking when the two conflict.
+is imposed as a QP row. The controller keeps the barrier rows hard and
+relaxes the decrease row by a slack d >= 0 penalized in the cost, so safety
+always wins over tracking when the two conflict. It returns V with its
+solution, so the follower logs the value the QP was built from.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CbfParams, ClfParams, RobotParams, State, combined_radius
-from .dynamics import ErrorState, PseudoControl, TransformedState, pd_control, transform
+from .dynamics import pd_control
 from .qp import ActiveSetQp, QpProblem, QpStatus
-from .safety import condition_terms
+from .safety import gate_value
 
 _LYAP_RESIDUAL_TOL = 1e-10
 
@@ -45,13 +46,6 @@ class ClfData:
     PG: np.ndarray      # P G, cached for the input Lie derivative
 
 
-@dataclass(frozen=True)
-class ClfTerms:
-    V: float
-    LfV: float
-    LgV: tuple[float, float]
-
-
 def solve_lyapunov(clf: ClfParams) -> ClfData:
     """Solve A_cl' P + P A_cl = -Q for P by vectorizing to a 16x16 system."""
     I2 = np.eye(2)
@@ -72,54 +66,53 @@ def solve_lyapunov(clf: ClfParams) -> ClfData:
     return ClfData(P_lyap=P, A_cl=A, M=F.T @ P + P @ F, PG=P @ G)
 
 
-def clf_terms(e: ErrorState, d: ClfData) -> ClfTerms:
-    """V, LfV and LgV at the given error."""
-    ea = np.asarray(e.e)
+def clf_terms(e: tuple, d: ClfData) -> tuple[float, float, tuple[float, float]]:
+    """(V, LfV, LgV) at the tracking error 4-tuple e."""
+    ea = np.asarray(e)
     V = float(ea @ d.P_lyap @ ea)
     LfV = float(ea @ d.M @ ea)
     lg = 2.0 * (ea @ d.PG)
-    return ClfTerms(V, LfV, (float(lg[0]), float(lg[1])))
+    return V, LfV, (float(lg[0]), float(lg[1]))
 
 
-def clf_cbf_qp_control(z: State, x_rm: TransformedState, obstacles,
+def clf_cbf_qp_control(z: State, e: tuple, obstacles,
                        robot: RobotParams, cbf: CbfParams, clf: ClfParams,
-                       d: ClfData, solver: ActiveSetQp | None = None,
+                       d: ClfData, solver: ActiveSetQp,
                        mu_rm: tuple[float, float] = (0.0, 0.0)
-                       ) -> tuple[PseudoControl, float]:
-    """Safety-filtered tracking controller.
+                       ) -> tuple[tuple[float, float], float, float]:
+    """Safety-filtered tracking controller at the tracking error e.
 
     Decision variables are the error-system pseudo-control (mu1, mu2) and the
     decrease-row slack dd. One hard barrier row is added per obstacle.
     The barrier condition constrains the plant acceleration mu_rm - mu, where
     mu_rm is the reference feedforward acceleration.
 
-    Returns (error-system pseudo-control, slack). The caller maps to the
-    plant via mu_plant = mu_rm - mu and then io_linearize. Raises
+    Returns (error-system pseudo-control, slack, V at e). The caller maps to
+    the plant via mu_plant = mu_rm - mu and then io_linearize. Raises
     InfeasibleSafety when the rows admit no solution.
     """
-    if solver is None:
-        solver = ActiveSetQp()
-    x = transform(z)
-    e = ErrorState((x_rm.x1[0] - x.x1[0], x_rm.x1[1] - x.x1[1],
-                    x_rm.x2[0] - x.x2[0], x_rm.x2[1] - x.x2[1]))
     mu_pd = pd_control(e, clf)
-    t = clf_terms(e, d)
-    ea = np.asarray(e.e)
+    V, LfV, LgV = clf_terms(e, d)
+    ea = np.asarray(e)
     eqe = float(ea @ clf.Q @ ea)
 
-    rows = [[t.LgV[0], t.LgV[1], -1.0],  # decrease row, relaxed by the slack
-            [0.0, 0.0, -1.0]]            # slack nonnegativity
-    rhs = [-t.LfV - eqe, 0.0]
+    rows = [[LgV[0], LgV[1], -1.0],  # decrease row, relaxed by the slack
+            [0.0, 0.0, -1.0]]        # slack nonnegativity
+    rhs = [-LfV - eqe, 0.0]
     for o in obstacles:
-        A_val, bx, by = condition_terms(z, o, combined_radius(o, robot), cbf)
+        r = combined_radius(o, robot)
+        # with zero control mu = 0, so the gate's condition value is A itself
+        A_val = gate_value(z.x, z.y, z.theta, z.v, 0.0, 0.0, [(o.x, o.y, r * r)],
+                           cbf.gamma1, cbf.gamma2)
+        bx = 2.0 * (z.x - o.x)
+        by = 2.0 * (z.y - o.y)
         # A + b (mu_rm - mu) >= 0  ->  b mu <= A + b mu_rm
         rows.append([bx, by, 0.0])
         rhs.append(A_val + bx * mu_rm[0] + by * mu_rm[1])
 
-    penalty = clf.penalty
     prob = QpProblem(
-        H=np.diag([2.0, 2.0, 2.0 * penalty]),
-        f=np.array([-2.0 * mu_pd.mu[0], -2.0 * mu_pd.mu[1], 0.0]),
+        H=np.diag([2.0, 2.0, 2.0 * clf.penalty]),
+        f=np.array([-2.0 * mu_pd[0], -2.0 * mu_pd[1], 0.0]),
         A_ineq=np.array(rows),
         b_ineq=np.array(rhs),
     )
@@ -127,4 +120,4 @@ def clf_cbf_qp_control(z: State, x_rm: TransformedState, obstacles,
     if sol.status is not QpStatus.OPTIMAL:
         raise InfeasibleSafety(f"safety-filtered QP returned {sol.status.value} "
                                f"at state ({z.x:.3f}, {z.y:.3f}, v={z.v:.3f})")
-    return PseudoControl((float(sol.x[0]), float(sol.x[1]))), max(0.0, float(sol.x[2]))
+    return (float(sol.x[0]), float(sol.x[1])), max(0.0, float(sol.x[2])), V

@@ -400,19 +400,17 @@ class PlanResult:
             total += math.hypot(b.state.x - a.state.x, b.state.y - a.state.y)
         return total
 
-    def min_clearance(self, s: Scenario, inflated: bool = True) -> float:
-        """Smallest distance from any waypoint to any obstacle.
+    def min_clearance(self, s: Scenario) -> float:
+        """Smallest distance from any waypoint to any obstacle's combined radius.
 
-        With inflated=True the combined radius r_o + r_r is subtracted, so a
-        positive value means the whole swept disc stays clear; with
-        inflated=False the raw center distance is returned.
+        The combined radius r_o + r_r is subtracted, so a positive value means
+        the whole swept disc stays clear.
         """
         best = math.inf
         for w in self.waypoints:
             for o in s.obstacles:
                 d = math.hypot(w.state.x - o.x, w.state.y - o.y)
-                if inflated:
-                    d -= combined_radius(o, s.robot)
+                d -= combined_radius(o, s.robot)
                 if d < best:
                     best = d
         return best

@@ -1,4 +1,4 @@
-"""Bicycle-model kinematics, the flat double-integrator form, and integrators.
+"""Bicycle-model kinematics, the flat double-integrator form and its tracking error.
 
 State z = (x, y, theta, v) with inputs u = (c, a), c = tan(psi)/L:
 
@@ -18,37 +18,10 @@ u = g(z)^{-1} mu (decoupling is singular at standstill).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import ClfParams, Control, RobotParams, State
 
 V_EPS = 0.05  # m/s, regularization floor when inverting the decoupling matrix
-
-
-@dataclass(frozen=True)
-class TransformedState:
-    x1: tuple[float, float]  # position, m
-    x2: tuple[float, float]  # velocity, m/s
-
-
-@dataclass(frozen=True)
-class PseudoControl:
-    mu: tuple[float, float]  # commanded acceleration pair, m/s^2
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    """Reference-minus-plant error in transformed coordinates."""
-
-    e: tuple[float, float, float, float]  # (pos error pair, vel error pair)
-
-    @property
-    def pos(self) -> tuple[float, float]:
-        return (self.e[0], self.e[1])
-
-    @property
-    def vel(self) -> tuple[float, float]:
-        return (self.e[2], self.e[3])
 
 
 def rk4_step(x: float, y: float, theta: float, v: float, c: float, a: float,
@@ -91,13 +64,15 @@ def integrate_step(z: State, u: Control, dt: float, p: RobotParams) -> State:
     return State(*rk4_step(z.x, z.y, z.theta, z.v, u.c, u.a, dt, p.v_max))
 
 
-def transform(z: State) -> TransformedState:
-    """Map a physical state to position/velocity pairs."""
-    return TransformedState((z.x, z.y),
-                            (z.v * math.cos(z.theta), z.v * math.sin(z.theta)))
+def tracking_error(z: State, pos: tuple[float, float],
+                   vel: tuple[float, float]) -> tuple[float, float, float, float]:
+    """Reference-minus-plant error (pos error pair, vel error pair) in
+    transformed coordinates, for the reference position pos and velocity vel."""
+    return (pos[0] - z.x, pos[1] - z.y,
+            vel[0] - z.v * math.cos(z.theta), vel[1] - z.v * math.sin(z.theta))
 
 
-def io_linearize(z: State, mu: PseudoControl, p: RobotParams) -> Control:
+def io_linearize(z: State, mu: tuple[float, float], p: RobotParams) -> Control:
     """Map a commanded acceleration pair to a physical control, u = g^{-1} mu.
 
     Near standstill the inverse blows up (det g = -v^2), so g is evaluated at
@@ -109,7 +84,7 @@ def io_linearize(z: State, mu: PseudoControl, p: RobotParams) -> Control:
         v = V_EPS
     s, co = math.sin(z.theta), math.cos(z.theta)
     v2 = v * v
-    m1, m2 = mu.mu
+    m1, m2 = mu
     # g^{-1} = [[-sin/v^2, cos/v^2], [cos, sin]]
     c = (-s * m1 + co * m2) / v2
     a = co * m1 + s * m2
@@ -125,12 +100,10 @@ def io_linearize(z: State, mu: PseudoControl, p: RobotParams) -> Control:
     return Control(c, a)
 
 
-def pd_control(e: ErrorState, clf: ClfParams) -> PseudoControl:
-    """Error-system PD law mu_pd = [-K_P -K_D] e."""
-    ep = e.pos
-    ev = e.vel
+def pd_control(e: tuple, clf: ClfParams) -> tuple[float, float]:
+    """Error-system PD law mu_pd = [-K_P -K_D] e at the tracking error 4-tuple e."""
     kp = clf.K_P
     kd = clf.K_D
-    m1 = -(kp[0, 0] * ep[0] + kp[0, 1] * ep[1]) - (kd[0, 0] * ev[0] + kd[0, 1] * ev[1])
-    m2 = -(kp[1, 0] * ep[0] + kp[1, 1] * ep[1]) - (kd[1, 0] * ev[0] + kd[1, 1] * ev[1])
-    return PseudoControl((float(m1), float(m2)))
+    m1 = -(kp[0, 0] * e[0] + kp[0, 1] * e[1]) - (kd[0, 0] * e[2] + kd[0, 1] * e[3])
+    m2 = -(kp[1, 0] * e[0] + kp[1, 1] * e[1]) - (kd[1, 0] * e[2] + kd[1, 1] * e[3])
+    return float(m1), float(m2)

@@ -18,8 +18,7 @@ import numpy as np
 from .core import (Control, PlanResult, Scenario, State, UncertaintyBounds,
                    Waypoint, combined_radius, wrap_angle)
 from .control import InfeasibleSafety, clf_cbf_qp_control, solve_lyapunov
-from .dynamics import (PseudoControl, TransformedState, integrate_step, io_linearize,
-                       rk4_step)
+from .dynamics import integrate_step, io_linearize, rk4_step, tracking_error
 from .qp import ActiveSetQp
 from .safety import barrier_value, gate_value
 
@@ -49,9 +48,6 @@ class Tree:
         self._xy[0, 0] = root.x
         self._xy[0, 1] = root.y
         self._count = 1
-
-    def __len__(self) -> int:
-        return self._count
 
     def add(self, state: State, parent: int, control: Control | None) -> int:
         if self._count == self._xy.shape[0]:
@@ -327,14 +323,13 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
             ref_pos = (z0.x + ux * adv, z0.y + uy * adv)
             ref_vel = (0.0, 0.0) if adv >= dist else (ux * v_ref, uy * v_ref)
             try:
-                mu_e, _ = clf_cbf_qp_control(z, TransformedState(ref_pos, ref_vel),
-                                             s.obstacles, robot, s.cbf, s.clf,
-                                             data, solver)
+                mu_e, _, _ = clf_cbf_qp_control(z, tracking_error(z, ref_pos, ref_vel),
+                                                s.obstacles, robot, s.cbf, s.clf,
+                                                data, solver)
             except InfeasibleSafety:
                 ok = False
                 break
-            mu_plant = PseudoControl((-mu_e.mu[0], -mu_e.mu[1]))
-            u = io_linearize(z, mu_plant, robot)
+            u = io_linearize(z, (-mu_e[0], -mu_e[1]), robot)
             z = integrate_step(z, u, dt_sub, robot)
             if not b.contains(z.x, z.y):
                 ok = False

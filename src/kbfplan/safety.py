@@ -78,14 +78,6 @@ def gate_value(x: float, y: float, theta: float, v: float, c: float, a: float,
     return worst
 
 
-def condition_terms(z: State, o: Obstacle, r: float, cbf: CbfParams):
-    """(A, bx, by) of the gate condition A + b mu >= 0 at state z."""
-    # with zero control mu = 0, so the condition value is A itself
-    A = gate_value(z.x, z.y, z.theta, z.v, 0.0, 0.0, [(o.x, o.y, r * r)],
-                   cbf.gamma1, cbf.gamma2)
-    return A, 2.0 * (z.x - o.x), 2.0 * (z.y - o.y)
-
-
 def kbf_check(z: State, u: Control, o: Obstacle, r: float, cbf: CbfParams) -> bool:
     """Nominal gate: True (pass) iff the barrier condition holds at (z, u)."""
     return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],

@@ -2,10 +2,10 @@
 
 The follower turns a plan into a time-parameterized reference (linear
 interpolation of position and velocity between waypoints, velocities from
-finite differences), runs the safety-filtered tracking QP each control
-period against the *perceived* obstacle set, and integrates the true plant.
-Barrier values against the *true* obstacles are recorded every tick, which is
-what the perception-error experiments audit.
+finite differences), runs the safety-filtered tracking QP on the tracking
+error each control period against the *perceived* obstacle set, and
+integrates the true plant. Each tick records the controller's V and the
+barrier values against the *true* obstacles, for the perception audits.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from .core import Control, PlanResult, Scenario, State, combined_radius
 from .control import InfeasibleSafety, clf_cbf_qp_control, clf_terms, solve_lyapunov
-from .dynamics import (ErrorState, PseudoControl, TransformedState,
-                       integrate_step, io_linearize, transform)
+from .dynamics import integrate_step, io_linearize, tracking_error
 from .qp import ActiveSetQp
 from .safety import barrier_value
 
@@ -29,7 +28,6 @@ class TrajectorySample:
     t: float
     state: State
     control: Control          # physical control applied over this tick
-    mu: tuple[float, float]   # plant pseudo-control commanded this tick
     b_values: tuple[float, ...]  # barrier value per true obstacle
     V: float
     d: float                  # tracking-row slack granted by the QP
@@ -38,7 +36,6 @@ class TrajectorySample:
 @dataclass(frozen=True)
 class Trajectory:
     samples: tuple[TrajectorySample, ...]
-    dt_ctrl: float
 
 
 class ControllerInfeasible(RuntimeError):
@@ -124,8 +121,10 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
     Terminates when the plant enters the goal region. Raises
     ControllerInfeasible if the safety QP fails and TimeBudgetExceeded when
     the budget (plan duration + 10 s by default) runs out; both carry the
-    partial trajectory.
+    partial trajectory. Raises ValueError unless 0 < dt_ctrl < inf.
     """
+    if not 0.0 < dt_ctrl < math.inf:
+        raise ValueError(f"dt_ctrl must be positive and finite, got {dt_ctrl}")
     if perceived_obstacles is None:
         perceived_obstacles = s.obstacles
     data = solve_lyapunov(s.clf)
@@ -145,35 +144,24 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
         return tuple(barrier_value(state, o, r) for o, r in zip(s.obstacles, true_radii))
 
     while True:
+        pos, vel, acc = ref.eval(t)
+        e = tracking_error(z, pos, vel)
         dx = z.x - gx
         dy = z.y - gy
         if dx * dx + dy * dy <= tol2:
-            x = transform(z)
-            pos, vel, _ = ref.eval(t)
-            e = ErrorState((pos[0] - x.x1[0], pos[1] - x.x1[1],
-                            vel[0] - x.x2[0], vel[1] - x.x2[1]))
-            terms = clf_terms(e, data)
-            samples.append(TrajectorySample(t, z, Control(0.0, 0.0), (0.0, 0.0),
-                                            snapshot(z), terms.V, 0.0))
-            return Trajectory(tuple(samples), dt_ctrl)
+            samples.append(TrajectorySample(t, z, Control(0.0, 0.0), snapshot(z),
+                                            clf_terms(e, data)[0], 0.0))
+            return Trajectory(tuple(samples))
         if t > time_budget:
-            raise TimeBudgetExceeded(t, Trajectory(tuple(samples), dt_ctrl))
+            raise TimeBudgetExceeded(t, Trajectory(tuple(samples)))
 
-        pos, vel, acc = ref.eval(t)
-        x_rm = TransformedState(pos, vel)
         try:
-            mu_e, slack = clf_cbf_qp_control(z, x_rm, perceived_obstacles, s.robot,
-                                             s.cbf, s.clf, data, solver, mu_rm=acc)
+            mu_e, slack, V = clf_cbf_qp_control(z, e, perceived_obstacles, s.robot,
+                                                s.cbf, s.clf, data, solver, mu_rm=acc)
         except InfeasibleSafety as exc:
-            raise ControllerInfeasible(t, Trajectory(tuple(samples), dt_ctrl)) from exc
-        mu_plant = (acc[0] - mu_e.mu[0], acc[1] - mu_e.mu[1])
-        u = io_linearize(z, PseudoControl(mu_plant), s.robot)
-
-        x = transform(z)
-        e = ErrorState((pos[0] - x.x1[0], pos[1] - x.x1[1],
-                        vel[0] - x.x2[0], vel[1] - x.x2[1]))
-        terms = clf_terms(e, data)
-        samples.append(TrajectorySample(t, z, u, mu_plant, snapshot(z), terms.V, slack))
+            raise ControllerInfeasible(t, Trajectory(tuple(samples))) from exc
+        u = io_linearize(z, (acc[0] - mu_e[0], acc[1] - mu_e[1]), s.robot)
+        samples.append(TrajectorySample(t, z, u, snapshot(z), V, slack))
 
         z = integrate_step(z, u, dt_ctrl, s.robot)
         t += dt_ctrl

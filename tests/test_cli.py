@@ -264,6 +264,23 @@ def test_main_exit_code_non_finite_obstacle(tmp_path, capsys):
     assert "NonFiniteParameter: obstacles[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dt-ctrl", "nan"],
+    ["simulate", "--dt-ctrl", "0"],
+    ["simulate", "--pos-err", "nan"],
+    ["simulate", "--pos-err", "-0.5"],
+    ["simulate", "--radius-err", "nan"],
+    ["inject", "--pos-err", "nan"],
+    ["inject", "--radius-err", "inf"],
+])
+def test_main_exit_code_bad_magnitude(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main(argv[:1] + ["--scenario", "scenario1", "--out", str(out)] + argv[1:])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_main_exit_code_no_path(tmp_path):
     doc = {
         "start": {"x": 0.5, "y": 2.0},

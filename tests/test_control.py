@@ -9,7 +9,8 @@ from kbfplan.core import (CbfParams, ClfParams, Control, Obstacle, RobotParams, 
                           combined_radius)
 from kbfplan.control import (InfeasibleSafety, NotHurwitz, clf_cbf_qp_control,
                              clf_terms, solve_lyapunov)
-from kbfplan.dynamics import ErrorState, TransformedState, pd_control, transform
+from kbfplan.dynamics import pd_control, tracking_error
+from kbfplan.qp import ActiveSetQp
 
 ROBOT = RobotParams()
 CBF = CbfParams(1.0, 1.0)
@@ -18,11 +19,10 @@ CBF = CbfParams(1.0, 1.0)
 def tracking_qp(e, d, clf):
     """clf_cbf_qp_control with no obstacles, at the error e.
 
-    At standstill with heading 0 the plant's transformed state is zero, so a
-    reference equal to e gives the tracking error e exactly.
+    With no obstacles the plant state enters only through e.
     """
-    x_rm = TransformedState((e.e[0], e.e[1]), (e.e[2], e.e[3]))
-    mu, _ = clf_cbf_qp_control(State(0.0, 0.0, 0.0, 0.0), x_rm, (), ROBOT, CBF, clf, d)
+    mu, _, _ = clf_cbf_qp_control(State(0.0, 0.0, 0.0, 0.0), tuple(e), (), ROBOT, CBF,
+                                  clf, d, ActiveSetQp())
     return mu
 
 
@@ -36,8 +36,7 @@ def test_lyapunov_identity_gains_block_form():
     expected = np.block([[1.5 * np.eye(2), 0.5 * np.eye(2)],
                          [0.5 * np.eye(2), 1.0 * np.eye(2)]])
     assert np.max(np.abs(d.P_lyap - expected)) <= 1e-12
-    e = ErrorState((1, 0, 0, 0))
-    assert clf_terms(e, d).V == pytest.approx(1.5)
+    assert clf_terms((1, 0, 0, 0), d)[0] == pytest.approx(1.5)
 
 
 def test_lyapunov_scales_linearly_with_q():
@@ -63,11 +62,10 @@ def test_lyapunov_rejects_unstable_gains():
 
 def test_clf_terms_examples():
     d = solve_lyapunov(ClfParams())
-    t0 = clf_terms(ErrorState((0, 0, 0, 0)), d)
-    assert (t0.V, t0.LfV, t0.LgV) == (0.0, 0.0, (0.0, 0.0))
-    t1 = clf_terms(ErrorState((1, 0, 0, 0)), d)
-    assert t1.V == pytest.approx(1.5)
-    assert t1.LgV == pytest.approx((1.0, 0.0))
+    assert clf_terms((0, 0, 0, 0), d) == (0.0, 0.0, (0.0, 0.0))
+    V, _, LgV = clf_terms((1, 0, 0, 0), d)
+    assert V == pytest.approx(1.5)
+    assert LgV == pytest.approx((1.0, 0.0))
 
 
 def test_clf_value_quadratic_homogeneity():
@@ -76,8 +74,8 @@ def test_clf_value_quadratic_homogeneity():
     for _ in range(50):
         e = rng.normal(size=4)
         alpha = rng.uniform(-3, 3)
-        v1 = clf_terms(ErrorState(tuple(e)), d).V
-        v2 = clf_terms(ErrorState(tuple(alpha * e)), d).V
+        v1 = clf_terms(tuple(e), d)[0]
+        v2 = clf_terms(tuple(alpha * e), d)[0]
         assert v2 == pytest.approx(alpha * alpha * v1, rel=1e-10, abs=1e-12)
 
 
@@ -88,10 +86,11 @@ def test_clf_qp_zero_error():
     for _ in range(50):
         z = State(rng.uniform(-5, 5), rng.uniform(-5, 5),
                   rng.uniform(-math.pi, math.pi), rng.uniform(0, 1.2))
-        x = transform(z)
-        mu, slack = clf_cbf_qp_control(z, x, (), ROBOT, CBF, clf, d)
-        assert mu.mu == pytest.approx((0.0, 0.0), abs=1e-12)
+        e = tracking_error(z, (z.x, z.y), (z.v * math.cos(z.theta), z.v * math.sin(z.theta)))
+        mu, slack, V = clf_cbf_qp_control(z, e, (), ROBOT, CBF, clf, d, ActiveSetQp())
+        assert mu == pytest.approx((0.0, 0.0), abs=1e-12)
         assert slack == 0.0
+        assert V == clf_terms(e, d)[0]
 
 
 def test_clf_qp_returns_pd_when_row_satisfied():
@@ -99,10 +98,10 @@ def test_clf_qp_returns_pd_when_row_satisfied():
     d = solve_lyapunov(clf)
     rng = np.random.default_rng(31)
     for _ in range(100):
-        e = ErrorState(tuple(rng.normal(size=4)))
+        e = tuple(rng.normal(size=4))
         mu = tracking_qp(e, d, clf)
         mu_pd = pd_control(e, clf)
-        assert np.allclose(mu.mu, mu_pd.mu, atol=1e-10)
+        assert np.allclose(mu, mu_pd, atol=1e-10)
 
 
 def test_clf_qp_decrease_row_holds():
@@ -110,11 +109,11 @@ def test_clf_qp_decrease_row_holds():
     d = solve_lyapunov(clf)
     rng = np.random.default_rng(37)
     for _ in range(1000):
-        e = ErrorState(tuple(rng.normal(size=4)))
+        e = tuple(rng.normal(size=4))
         mu = tracking_qp(e, d, clf)
-        t = clf_terms(e, d)
-        ea = np.asarray(e.e)
-        row = t.LfV + t.LgV[0] * mu.mu[0] + t.LgV[1] * mu.mu[1] + float(ea @ clf.Q @ ea)
+        _, LfV, LgV = clf_terms(e, d)
+        ea = np.asarray(e)
+        row = LfV + LgV[0] * mu[0] + LgV[1] * mu[1] + float(ea @ clf.Q @ ea)
         assert row <= 1e-8
 
 
@@ -129,12 +128,12 @@ def test_clf_decrease_along_error_dynamics():
         e = rng.normal(size=4)
         v_prev = float(e @ d.P_lyap @ e)
         for _ in range(150):
-            mu = tracking_qp(ErrorState(tuple(e)), d, clf)
-            de = F @ e + G @ np.array(mu.mu)
+            mu = tracking_qp(e, d, clf)
+            de = F @ e + G @ np.array(mu)
             # RK2 on the closed-loop error system
             e_mid = e + 0.5 * dt * de
-            mu_mid = tracking_qp(ErrorState(tuple(e_mid)), d, clf)
-            e = e + dt * (F @ e_mid + G @ np.array(mu_mid.mu))
+            mu_mid = tracking_qp(e_mid, d, clf)
+            e = e + dt * (F @ e_mid + G @ np.array(mu_mid))
             v = float(e @ d.P_lyap @ e)
             assert v <= v_prev + 1e-6
             v_prev = v
@@ -144,9 +143,9 @@ def test_clf_cbf_qp_zero_error_no_obstacles():
     clf = ClfParams()
     d = solve_lyapunov(clf)
     z = State(0, 0, 0, 1.0)
-    x = transform(z)
-    mu, slack = clf_cbf_qp_control(z, TransformedState(x.x1, x.x2), (), ROBOT, CBF, clf, d)
-    assert mu.mu == pytest.approx((0.0, 0.0), abs=1e-10)
+    e = tracking_error(z, (0.0, 0.0), (1.0, 0.0))
+    mu, slack, _ = clf_cbf_qp_control(z, e, (), ROBOT, CBF, clf, d, ActiveSetQp())
+    assert mu == pytest.approx((0.0, 0.0), abs=1e-10)
     assert slack == pytest.approx(0.0, abs=1e-10)
 
 
@@ -158,11 +157,11 @@ def test_clf_cbf_qp_distant_obstacle_matches_clf_qp():
     for _ in range(200):
         z = State(rng.uniform(-2, 2), rng.uniform(-2, 2),
                   rng.uniform(-math.pi, math.pi), rng.uniform(0, 1.2))
-        x_rm = TransformedState((rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                                (rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        mu_cbf, _ = clf_cbf_qp_control(z, x_rm, (far,), ROBOT, CBF, clf, d)
-        mu_clf, _ = clf_cbf_qp_control(z, x_rm, (), ROBOT, CBF, clf, d)
-        assert np.allclose(mu_cbf.mu, mu_clf.mu, atol=1e-9)
+        e = tracking_error(z, (rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                           (rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        mu_cbf, _, _ = clf_cbf_qp_control(z, e, (far,), ROBOT, CBF, clf, d, ActiveSetQp())
+        mu_clf, _, _ = clf_cbf_qp_control(z, e, (), ROBOT, CBF, clf, d, ActiveSetQp())
+        assert np.allclose(mu_cbf, mu_clf, atol=1e-9)
 
 
 def test_clf_cbf_qp_barrier_rows_hold_near_obstacle():
@@ -177,14 +176,14 @@ def test_clf_cbf_qp_barrier_rows_hold_near_obstacle():
         dist = r + rng.uniform(0.05, 1.5)
         z = State(o.x + dist * math.cos(phi), o.y + dist * math.sin(phi),
                   rng.uniform(-math.pi, math.pi), rng.uniform(0, 1.2))
-        x_rm = TransformedState((o.x, o.y), (0.0, 0.0))  # reference pulls into the obstacle
+        e = tracking_error(z, (o.x, o.y), (0.0, 0.0))  # reference pulls into the obstacle
         try:
-            mu_e, slack = clf_cbf_qp_control(z, x_rm, (o,), ROBOT, CBF, clf, d)
+            mu_e, slack, _ = clf_cbf_qp_control(z, e, (o,), ROBOT, CBF, clf, d, ActiveSetQp())
         except InfeasibleSafety:
             continue
         assert slack >= 0.0
         A, b, _ = reference_condition(z, Control(0.0, 0.0), o, r, CBF)
-        mu_plant = (-mu_e.mu[0], -mu_e.mu[1])
+        mu_plant = (-mu_e[0], -mu_e[1])
         assert A + b[0] * mu_plant[0] + b[1] * mu_plant[1] >= -1e-8
 
 
@@ -192,12 +191,12 @@ def test_clf_cbf_qp_penalty_monotone_in_slack():
     d_prev = None
     z = State(0.0, 0.0, 0.0, 1.0)
     # reference accelerating hard into a nearby obstacle forces the slack up
-    x_rm = TransformedState((2.0, 0.0), (1.2, 0.0))
+    e = tracking_error(z, (2.0, 0.0), (1.2, 0.0))
     o = Obstacle(1.4, 0.0, 0.5)
     for penalty in (1e1, 1e2, 1e3, 1e4):
         clf = ClfParams(penalty=penalty)
         data = solve_lyapunov(clf)
-        _, slack = clf_cbf_qp_control(z, x_rm, (o,), ROBOT, CBF, clf, data)
+        _, slack, _ = clf_cbf_qp_control(z, e, (o,), ROBOT, CBF, clf, data, ActiveSetQp())
         if d_prev is not None:
             assert slack <= d_prev + 1e-9
         d_prev = slack
@@ -210,6 +209,6 @@ def test_clf_cbf_qp_infeasible_raises():
     # A + b mu >= 0 with A < 0 and opposite normals, so no mu satisfies them
     z = State(0.0, 0.0, 0.0, 0.0)
     obstacles = (Obstacle(0.9, 0.0, 0.8), Obstacle(-0.9, 0.0, 0.8))
-    x = transform(z)
     with pytest.raises(InfeasibleSafety):
-        clf_cbf_qp_control(z, TransformedState(x.x1, x.x2), obstacles, ROBOT, CBF, clf, d)
+        clf_cbf_qp_control(z, (0.0, 0.0, 0.0, 0.0), obstacles, ROBOT, CBF, clf, d,
+                           ActiveSetQp())

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from oracles import circular_arc_state, reference_g, reference_integrate_step
 
 from kbfplan.core import ClfParams, Control, RobotParams, State
-from kbfplan.dynamics import (V_EPS, ErrorState, PseudoControl, integrate_step,
-                              io_linearize, pd_control, transform)
+from kbfplan.dynamics import V_EPS, integrate_step, io_linearize, pd_control, tracking_error
 
 ROBOT = RobotParams()
 
@@ -69,12 +68,14 @@ def test_rk4_order_gain_on_step_halving():
 
 
 def test_transform_examples():
-    t = transform(State(1, 2, 0, 3))
-    assert t.x1 == (1, 2) and t.x2 == pytest.approx((3, 0))
-    t = transform(State(0, 0, math.pi / 2, 2))
-    assert t.x2 == pytest.approx((0, 2), abs=1e-12)
-    t = transform(State(5, 5, math.pi / 4, math.sqrt(2)))
-    assert t.x2 == pytest.approx((1, 1), abs=1e-12)
+    # the flat transform x1 = (x, y), x2 = v (cos theta, sin theta), read off
+    # the tracking error (pos - x1, vel - x2) against a reference (pos, vel)
+    e = tracking_error(State(1, 2, 0, 3), (0.0, 0.0), (0.0, 0.0))
+    assert e[:2] == (-1, -2) and e[2:] == pytest.approx((-3, 0))
+    e = tracking_error(State(0, 0, math.pi / 2, 2), (1.0, 1.0), (0.0, 2.0))
+    assert e == pytest.approx((1, 1, 0, 0), abs=1e-12)
+    e = tracking_error(State(5, 5, math.pi / 4, math.sqrt(2)), (5.0, 5.0), (1.0, 1.0))
+    assert e == pytest.approx((0, 0, 0, 0), abs=1e-12)
 
 
 def test_transform_speed_consistency():
@@ -82,17 +83,17 @@ def test_transform_speed_consistency():
     for _ in range(200):
         z = State(rng.uniform(-5, 5), rng.uniform(-5, 5),
                   rng.uniform(-math.pi, math.pi), rng.uniform(0, 2))
-        t = transform(z)
-        assert math.hypot(*t.x2) == pytest.approx(abs(z.v), abs=1e-12)
+        e = tracking_error(z, (0.0, 0.0), (0.0, 0.0))
+        assert math.hypot(e[2], e[3]) == pytest.approx(abs(z.v), abs=1e-12)
 
 
 def test_io_linearize_examples():
-    u = io_linearize(State(0, 0, 0, 1), PseudoControl((0, 1)), ROBOT)
+    u = io_linearize(State(0, 0, 0, 1), (0, 1), ROBOT)
     assert (u.c, u.a) == pytest.approx((1, 0))
-    u = io_linearize(State(0, 0, 0, 1), PseudoControl((1, 0)), ROBOT)
+    u = io_linearize(State(0, 0, 0, 1), (1, 0), ROBOT)
     assert (u.c, u.a) == pytest.approx((0, 1))
     # at standstill g is evaluated at speed V_EPS: c = mu2 / V_EPS^2
-    u = io_linearize(State(0, 0, 0, 0), PseudoControl((0, 0.001)), ROBOT)
+    u = io_linearize(State(0, 0, 0, 0), (0, 0.001), ROBOT)
     assert (u.c, u.a) == pytest.approx((0.001 / V_EPS ** 2, 0))
 
 
@@ -103,19 +104,19 @@ def test_io_linearize_inverts_g():
                   rng.uniform(-math.pi, math.pi), rng.uniform(0.2, 1.2))
         u = (rng.uniform(-ROBOT.c_max, ROBOT.c_max), rng.uniform(-ROBOT.a_max, ROBOT.a_max))
         mu = reference_g(z) @ np.array(u)
-        back = io_linearize(z, PseudoControl((mu[0], mu[1])), ROBOT)
+        back = io_linearize(z, (mu[0], mu[1]), ROBOT)
         assert np.allclose((back.c, back.a), u, atol=1e-9)
 
 
 def test_io_linearize_saturates():
-    u = io_linearize(State(0, 0, 0, 0.2), PseudoControl((0.0, 5.0)), ROBOT)
+    u = io_linearize(State(0, 0, 0, 0.2), (0.0, 5.0), ROBOT)
     assert abs(u.c) <= ROBOT.c_max + 1e-12
     assert -ROBOT.a_max <= u.a <= ROBOT.a_max
 
 
 def test_pd_control_examples():
     clf = ClfParams()
-    assert pd_control(ErrorState((0, 0, 0, 0)), clf).mu == (0, 0)
-    assert pd_control(ErrorState((1, 0, 0, 0)), clf).mu == pytest.approx((-1, 0))
+    assert pd_control((0, 0, 0, 0), clf) == (0, 0)
+    assert pd_control((1, 0, 0, 0), clf) == pytest.approx((-1, 0))
     clf2 = ClfParams(K_P=2.0, K_D=1.0)
-    assert pd_control(ErrorState((0, 1, 0, 1)), clf2).mu == pytest.approx((0, -3))
+    assert pd_control((0, 1, 0, 1), clf2) == pytest.approx((0, -3))

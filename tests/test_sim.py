@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from kbfplan.cli import inject_perception_error, load_bundled_scenario
+from kbfplan.control import clf_terms, solve_lyapunov
 from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
                           PlanResult, RobotParams, Scenario, State,
                           UncertaintyBounds, Waypoint, validate_scenario)
+from kbfplan.dynamics import tracking_error
 from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_kbf
 from kbfplan.sim import (ControllerInfeasible, TimeBudgetExceeded, Trajectory,
-                         TrajectorySample, follow_path, min_barrier,
+                         TrajectorySample, _PlanReference, follow_path, min_barrier,
                          write_trajectory_csv)
 
 
@@ -72,6 +74,27 @@ def test_pipeline_keeps_barriers_nonnegative():
         assert mb[0] >= 0.0
 
 
+@pytest.mark.parametrize("name,seed", [("scenario1", 3), ("scenario2", 5), ("scenario4", 11)])
+def test_logged_v_is_the_controllers_v(name, seed):
+    # every tick logs V at the tracking error the controller was given
+    s = load_bundled_scenario(name)
+    plan = plan_rrt_kbf(s, np.random.default_rng(seed))
+    traj = follow_path(plan, s)
+    ref = _PlanReference(plan, (s.goal.x, s.goal.y))
+    data = solve_lyapunov(s.clf)
+    assert len(traj.samples) > 100
+    for smp in traj.samples:
+        pos, vel, _ = ref.eval(smp.t)
+        assert smp.V == clf_terms(tracking_error(smp.state, pos, vel), data)[0]
+
+
+@pytest.mark.parametrize("dt_ctrl", [0.0, -0.02, math.nan, math.inf])
+def test_follow_rejects_bad_control_period(dt_ctrl):
+    plan, scenario = straight_line_setup()
+    with pytest.raises(ValueError, match="dt_ctrl"):
+        follow_path(plan, scenario, dt_ctrl=dt_ctrl)
+
+
 def test_replay_determinism():
     s = load_bundled_scenario("scenario1")
     plan = plan_rrt_kbf(s, np.random.default_rng(3))
@@ -88,16 +111,16 @@ def test_min_barrier_no_obstacles():
 
 def test_min_barrier_hand_built():
     samples = (
-        TrajectorySample(0.0, State(0, 0, 0, 0), Control(0, 0), (0, 0), (3.0,), 0.0, 0.0),
-        TrajectorySample(0.02, State(0, 0, 0, 0), Control(0, 0), (0, 0), (1.0,), 0.0, 0.0),
+        TrajectorySample(0.0, State(0, 0, 0, 0), Control(0, 0), (3.0,), 0.0, 0.0),
+        TrajectorySample(0.02, State(0, 0, 0, 0), Control(0, 0), (1.0,), 0.0, 0.0),
     )
-    traj = Trajectory(samples, 0.02)
+    traj = Trajectory(samples)
     assert min_barrier(traj) == (1.0, 0.02, 0)
     # a NaN barrier must surface, not hide behind a finite minimum
     broken = samples[:1] + (
-        TrajectorySample(0.02, State(0, 0, 0, 0), Control(0, 0), (0, 0), (2.0, math.nan),
+        TrajectorySample(0.02, State(0, 0, 0, 0), Control(0, 0), (2.0, math.nan),
                          0.0, 0.0),) + samples[1:]
-    value, t, j = min_barrier(Trajectory(broken, 0.02))
+    value, t, j = min_barrier(Trajectory(broken))
     assert math.isnan(value) and (t, j) == (0.02, 1)
 
 
