@@ -1,11 +1,13 @@
 """Tree-search planners: geometric, barrier-gated kinodynamic, and QP-steered.
 
-`rrt` and `rrt-cbf-qp` grow a `Tree` of `State` objects with a
-nearest-neighbor index. The barrier-gated planners (`rrt-kbf`,
-`robust-rrt-kbf`) draw their parent uniformly instead, so they keep flat
-lists of (x, y, theta, v) tuples and build `State` objects only for the
-returned path. Every planner is a deterministic function of (scenario, rng):
-a seeded generator reproduces the run bit for bit.
+`rrt` and `rrt-cbf-qp` grow a `Tree` of `State` objects with a nearest-neighbor
+index. The barrier-gated planners (`rrt-kbf`, `robust-rrt-kbf`) draw their
+parent uniformly instead, so they keep flat lists of (x, y, theta, v) tuples
+and build `State` objects only for the returned path. Every planner is a
+deterministic function of (scenario, rng): a seeded generator reproduces the
+run bit for bit. The barrier-gated ones draw as scalar `rng.integers`/`uniform`
+calls would, final rng state included, from raw PCG64, PCG64DXSM, Philox or
+SFC64 words.
 """
 
 from __future__ import annotations
@@ -47,24 +49,20 @@ class Tree:
         self._xy = np.empty((128, 2))
         self._xy[0, 0] = root.x
         self._xy[0, 1] = root.y
-        self._count = 1
 
     def add(self, state: State, parent: int, control: Control | None) -> int:
-        if self._count == self._xy.shape[0]:
-            grown = np.empty((2 * self._count, 2))
-            grown[: self._count] = self._xy
-            self._xy = grown
-        idx = self._count
+        idx = len(self.states)
+        if idx == self._xy.shape[0]:
+            self._xy = np.concatenate((self._xy, np.empty_like(self._xy)))
         self._xy[idx, 0] = state.x
         self._xy[idx, 1] = state.y
-        self._count = idx + 1
         self.states.append(state)
         self.parents.append(parent)
         self.controls.append(control)
         return idx
 
     def nearest(self, qx: float, qy: float) -> int:
-        pts = self._xy[: self._count]
+        pts = self._xy[: len(self.states)]
         d2 = (pts[:, 0] - qx) ** 2 + (pts[:, 1] - qy) ** 2
         return int(np.argmin(d2))  # argmin keeps the lowest index on ties
 
@@ -195,6 +193,52 @@ def _kbf_plan(nodes, parents, controls, leaf: int, dt: float, iterations: int,
                       _edges(parents), iterations, time.perf_counter() - started)
 
 
+def block_draws(rng):
+    """(integers, uniform, restore): `rng.integers(0, n)`, 1 <= n < 2**32, and
+    `rng.uniform(lo, hi)` decoded as numpy does; restore() leaves rng as they would."""
+    bg = getattr(rng, "bit_generator", None)
+    if bg is not None and not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM,
+                                              np.random.Philox, np.random.SFC64)):
+        raise TypeError(f"{type(bg).__name__} is not PCG64, PCG64DXSM, Philox or SFC64")
+    # perfbench's TimedRng proxy has no bit_generator: no pending half, no restore
+    entry = bg.state if bg is not None else {"has_uint32": 0, "uinteger": 0}
+    pending, half = bool(entry["has_uint32"]), entry["uinteger"]
+    words, drawn = [], 0
+
+    def next64():  # blocks of 64, 64, 128, ... up to 4096 words, reversed to pop
+        nonlocal words, drawn
+        if not words:
+            k = min(max(drawn, 64), 4096)
+            drawn += k
+            words = rng.integers(0, 2**64, size=k, dtype=np.uint64).tolist()[::-1]
+        return words.pop()
+
+    def integers(n):  # Lemire's method on 32-bit draws: the pending high half
+        nonlocal pending, half  # of the last word split, else a fresh low half
+        threshold = 0x100000000 % n  # numpy's (2**32 - n) % n; n == 1 draws nothing
+        while n > 1:
+            if pending:
+                u, pending = half, False
+            else:
+                w = next64()
+                u, half, pending = w & 0xFFFFFFFF, w >> 32, True
+            m = u * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+        return 0
+
+    def uniform(lo, hi):  # lo + (hi - lo) times a word's top 53 bits
+        return lo + (hi - lo) * ((next64() >> 11) * 2.0 ** -53)
+
+    def restore():  # pending and half are the bit generator's has_uint32, uinteger
+        if bg is not None:
+            bg.state = entry
+            bg.random_raw(drawn - len(words), output=False)
+            bg.state = {**bg.state, "has_uint32": int(pending), "uinteger": half}
+
+    return integers, uniform, restore
+
+
 def plan_rrt_kbf(s: Scenario, rng: np.random.Generator,
                  trace: list | None = None) -> PlanResult:
     """Barrier-gated kinodynamic planner.
@@ -218,9 +262,13 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     control period to create the child node. Extensions leaving the workspace
     are discarded. With `trace` a (node, control, verdict) tuple is appended
     per iteration, which is how the zero-bound reduction is audited: with
-    zero bounds the run is exactly that of plan_rrt_kbf.
+    zero bounds the run is exactly that of plan_rrt_kbf. The draws, and rng's
+    state on return or NoPath, are those of `rng.integers(0, len(nodes))`,
+    `rng.uniform(-c_max, c_max)` and `rng.uniform(0, a_max)` calls (block_draws;
+    PCG64, PCG64DXSM, Philox or SFC64 bit generators, else TypeError).
     """
     started = time.perf_counter()
+    integers, uniform, restore = block_draws(rng)
     if _goal_reached(s.start, s):
         return _trivial_plan(s, started, 0)
     z0 = s.start
@@ -241,31 +289,32 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     obs = [(o.x, o.y, r * r) for o, r in zip(s.obstacles, radii)]
     d1 = bounds.delta1_max
     d2 = bounds.delta2_max
-    uniform = rng.uniform
-    integers = rng.integers
 
-    for it in range(1, s.planner.max_iters + 1):
-        i = int(integers(0, len(nodes)))
-        x, y, theta, v = nodes[i]
-        c = uniform(-cmax, cmax)
-        a = uniform(0.0, a_max)
-        ok = gate_value(x, y, theta, v, c, a, obs, g1, g2, d1, d2) >= 0.0
-        if trace is not None:
-            trace.append((i, c, a, ok))
-        if not ok:
-            continue
+    try:
+        for it in range(1, s.planner.max_iters + 1):
+            i = integers(len(nodes))
+            x, y, theta, v = nodes[i]
+            c = uniform(-cmax, cmax)
+            a = uniform(0.0, a_max)
+            ok = gate_value(x, y, theta, v, c, a, obs, g1, g2, d1, d2) >= 0.0
+            if trace is not None:
+                trace.append((i, c, a, ok))
+            if not ok:
+                continue
 
-        nx, ny, nth, nv = rk4_step(x, y, theta, v, c, a, dt, v_max)
-        if not (xmin <= nx <= xmax and ymin <= ny <= ymax):
-            continue
-        nodes.append((nx, ny, wrap_angle(nth), nv))
-        parents.append(i)
-        controls.append((c, a))
-        ddx = nx - gx
-        ddy = ny - gy
-        if ddx * ddx + ddy * ddy <= tol2:
-            return _kbf_plan(nodes, parents, controls, len(nodes) - 1, dt, it, started)
-    raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
+            nx, ny, nth, nv = rk4_step(x, y, theta, v, c, a, dt, v_max)
+            if not (xmin <= nx <= xmax and ymin <= ny <= ymax):
+                continue
+            nodes.append((nx, ny, wrap_angle(nth), nv))
+            parents.append(i)
+            controls.append((c, a))
+            ddx = nx - gx
+            ddy = ny - gy
+            if ddx * ddx + ddy * ddy <= tol2:
+                return _kbf_plan(nodes, parents, controls, len(nodes) - 1, dt, it, started)
+        raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
+    finally:
+        restore()
 
 
 K_SIM = 10               # rrt-cbf-qp steering horizon, control periods
@@ -331,10 +380,8 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
                 break
             u = io_linearize(z, (-mu_e[0], -mu_e[1]), robot)
             z = integrate_step(z, u, dt_sub, robot)
-            if not b.contains(z.x, z.y):
-                ok = False
-                break
-            if any(barrier_value(z, o, r) < 0.0 for o, r in zip(s.obstacles, radii)):
+            if not b.contains(z.x, z.y) or any(
+                    barrier_value(z, o, r) < 0.0 for o, r in zip(s.obstacles, radii)):
                 ok = False
                 break
             chain.append((z, u))

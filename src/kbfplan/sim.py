@@ -21,6 +21,7 @@ from .qp import ActiveSetQp
 from .safety import barrier_value
 
 DT_CTRL_DEFAULT = 0.02  # s
+MAX_TICKS = 10**6       # follow_path takes a time budget of 0 to MAX_TICKS ticks
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
     Terminates when the plant enters the goal region. Raises
     ControllerInfeasible if the safety QP fails and TimeBudgetExceeded when
     the budget (plan duration + 10 s by default) runs out; both carry the
-    partial trajectory. Raises ValueError unless 0 < dt_ctrl < inf.
+    partial trajectory. Raises ValueError on a dt_ctrl or budget out of range.
     """
     if not 0.0 < dt_ctrl < math.inf:
         raise ValueError(f"dt_ctrl must be positive and finite, got {dt_ctrl}")
@@ -132,6 +133,8 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
     ref = _PlanReference(plan, (s.goal.x, s.goal.y))
     if time_budget is None:
         time_budget = ref.duration + 10.0
+    if not 0.0 <= time_budget <= MAX_TICKS * dt_ctrl:
+        raise ValueError(f"time_budget {time_budget} is not in [0, MAX_TICKS * dt_ctrl]")
     true_radii = [combined_radius(o, s.robot) for o in s.obstacles]
     tol2 = s.planner.goal_tolerance ** 2
     gx, gy = s.goal.x, s.goal.y

@@ -281,6 +281,14 @@ def test_main_exit_code_bad_magnitude(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_main_simulate_rejects_more_than_max_ticks(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", "scenario1", "--dt-ctrl", "1e-7", "--out", str(out)])
+    assert code == 2
+    assert "MAX_TICKS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_exit_code_no_path(tmp_path):
     doc = {
         "start": {"x": 0.5, "y": 2.0},

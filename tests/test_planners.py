@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_plan_kbf
@@ -14,9 +14,9 @@ from kbfplan.core import (Bounds, CbfParams, Obstacle, PlannerConfig,
                           RobotParams, Scenario, State, UncertaintyBounds,
                           combined_radius, validate_scenario)
 from kbfplan.dynamics import integrate_step
-from kbfplan.planners import (NoPath, Tree, plan, plan_robust_rrt_kbf, plan_rrt,
-                              plan_rrt_cbf_qp, plan_rrt_kbf, point_segment_distance,
-                              segment_collision)
+from kbfplan.planners import (NoPath, Tree, block_draws, plan, plan_robust_rrt_kbf,
+                              plan_rrt, plan_rrt_cbf_qp, plan_rrt_kbf,
+                              point_segment_distance, segment_collision)
 from kbfplan.safety import kbf_check
 
 
@@ -252,6 +252,149 @@ def test_flat_planners_match_loop_reference_property(gamma1, gamma2, dt, seed, b
         cbf=CbfParams(gamma1, gamma2),
         planner=PlannerConfig(dt=dt, goal_tolerance=0.6, max_iters=1000)))
     assert_identical(run_both(s, seed, bounds and UncertaintyBounds(*bounds)))
+
+
+# -- block-decoded draws against numpy's scalar Generator calls -------------
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+
+
+def same_state(a, b):
+    """Bit generator states are equal; Philox's hold arrays, compared by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(bit_generator=st.sampled_from(BIT_GENERATORS), seed=st.integers(0, 2**32 - 1),
+       pre=st.integers(0, 3),
+       ops=st.lists(st.one_of(
+           st.just(1),                                  # integers(0, 1) draws nothing
+           st.integers(2, 5000),
+           st.integers(2**31 - 3000, 2**31 + 3000),     # above 2**31 about half reject
+           st.integers(2, 2**32 - 1),
+           st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 10.0))),  # uniform(lo, lo + w)
+           max_size=300))
+@example(bit_generator=np.random.PCG64, seed=7, pre=1,
+         ops=[1, 1, 1, (0.0, 1.0), 1, 3, 1, 1, 2**31 + 5, (-1.0, 2.0), 2**31 + 5, 1])
+def test_block_draws_match_scalar_generator_calls(bit_generator, seed, pre, ops):
+    # an odd number of integers(0, 7) calls leaves a pending 32-bit half
+    scalar = np.random.Generator(bit_generator(seed))
+    blocked = np.random.Generator(bit_generator(seed))
+    for g in (scalar, blocked):
+        for _ in range(pre):
+            g.integers(0, 7)
+    integers, uniform, restore = block_draws(blocked)
+    for op in ops:
+        if isinstance(op, int):
+            assert integers(op) == scalar.integers(0, op)
+        else:
+            lo, width = op
+            assert uniform(lo, lo + width) == scalar.uniform(lo, lo + width)
+    restore()
+    assert same_state(blocked.bit_generator.state, scalar.bit_generator.state)
+    assert blocked.integers(0, 2**40) == scalar.integers(0, 2**40)
+
+
+class FixedWords:
+    """A generator proxy whose raw 64-bit words are given, then zeros."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def integers(self, low, high, size, dtype):
+        block, self.words = self.words[:size], self.words[size:]
+        return np.array(block + [0] * (size - len(block)), dtype=dtype)
+
+
+def test_block_draws_accept_a_low_half_equal_to_the_threshold():
+    # n = 3: numpy rejects while (u * 3) mod 2**32 < 2**32 mod 3 = 1. The first
+    # word's low half 0 is rejected; its high half 0xAAAAAAAB gives exactly 1,
+    # which numpy accepts, and 0xAAAAAAAB * 3 >> 32 = 2
+    integers, uniform, restore = block_draws(FixedWords([0xAAAAAAAB << 32, 5 << 32 | 7]))
+    assert integers(3) == 2
+    assert integers(2**32 - 1) == 6   # the next word's low half: 7 * (2**32 - 1) >> 32
+    assert integers(2**32 - 1) == 4   # then its pending high half
+    restore()
+
+
+def pending_half_rng(seed):
+    """A default generator with a pending 32-bit half (has_uint32 set)."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 7)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def run_both_on(s, make_rng, bounds):
+    """run_both for the generators make_rng() returns."""
+    runs = []
+    for planner in ("shipped", "reference"):
+        rng = make_rng()
+        trace = []
+        try:
+            if planner == "reference":
+                out = reference_plan_kbf(s, rng, bounds, trace)
+            elif bounds is None:
+                out = plan_rrt_kbf(s, rng, trace=trace)
+            else:
+                out = plan_robust_rrt_kbf(s, bounds, rng, trace=trace)
+        except NoPath as exc:
+            out = exc.iterations
+        runs.append((out, trace, rng.bit_generator.state))
+    return runs
+
+
+@pytest.mark.parametrize("make_rng", [
+    pending_half_rng,
+    lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)),
+    lambda seed: np.random.Generator(np.random.Philox(seed)),
+    lambda seed: np.random.Generator(np.random.SFC64(seed)),
+], ids=["pcg64-pending-half", "pcg64dxsm", "philox", "sfc64"])
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3", "scenario4"])
+def test_flat_planners_match_loop_reference_on_every_bit_generator(name, make_rng):
+    s = load_bundled_scenario(name)
+    short = dataclasses.replace(s, planner=dataclasses.replace(s.planner, max_iters=40))
+    for seed in range(3):
+        for bounds in (None, UncertaintyBounds(0.3, 0.3)):
+            for scenario in (s, short):
+                (a, trace_a, rng_a), (b, trace_b, rng_b) = run_both_on(
+                    scenario, lambda: make_rng(seed), bounds)
+                assert a == b if isinstance(a, int) or isinstance(b, int) else same_plan(a, b)
+                assert trace_a == trace_b
+                assert same_state(rng_a, rng_b)
+
+
+def test_kbf_planners_reject_an_unsupported_bit_generator():
+    s = load_bundled_scenario("scenario1")
+    with pytest.raises(TypeError, match="MT19937"):
+        plan_rrt_kbf(s, np.random.Generator(np.random.MT19937(0)))
+    with pytest.raises(TypeError, match="MT19937"):
+        plan_robust_rrt_kbf(s, UncertaintyBounds(0.3, 0.3),
+                            np.random.Generator(np.random.MT19937(0)))
+
+
+class ScalarDrawsOnly:
+    """A generator proxy with only `uniform` and `integers`, as a tracer has."""
+
+    def __init__(self, rng):
+        self.uniform = rng.uniform
+        self.integers = rng.integers
+
+
+@pytest.mark.parametrize("bounds", [UncertaintyBounds(), UncertaintyBounds(0.3, 0.3)])
+def test_kbf_planners_take_a_proxy_without_bit_generator(bounds):
+    s = load_bundled_scenario("scenario2")
+    for seed in range(4):
+        trace_direct, trace_proxy = [], []
+        direct = plan_robust_rrt_kbf(s, bounds, np.random.default_rng(seed), trace_direct)
+        proxy = plan_robust_rrt_kbf(s, bounds, ScalarDrawsOnly(np.random.default_rng(seed)),
+                                    trace_proxy)
+        assert same_plan(direct, proxy)
+        assert trace_direct == trace_proxy
 
 
 def test_robust_bounds_increase_clearance():

@@ -10,7 +10,7 @@ from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
                           UncertaintyBounds, Waypoint, validate_scenario)
 from kbfplan.dynamics import tracking_error
 from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_kbf
-from kbfplan.sim import (ControllerInfeasible, TimeBudgetExceeded, Trajectory,
+from kbfplan.sim import (MAX_TICKS, ControllerInfeasible, TimeBudgetExceeded, Trajectory,
                          TrajectorySample, _PlanReference, follow_path, min_barrier,
                          write_trajectory_csv)
 
@@ -93,6 +93,26 @@ def test_follow_rejects_bad_control_period(dt_ctrl):
     plan, scenario = straight_line_setup()
     with pytest.raises(ValueError, match="dt_ctrl"):
         follow_path(plan, scenario, dt_ctrl=dt_ctrl)
+
+
+@pytest.mark.parametrize("time_budget", [math.nan, math.inf, -1.0])
+def test_follow_rejects_bad_time_budget(time_budget):
+    plan, scenario = straight_line_setup()
+    with pytest.raises(ValueError, match="time_budget"):
+        follow_path(plan, scenario, time_budget=time_budget)
+
+
+def test_follow_caps_the_tick_count():
+    plan, scenario = straight_line_setup()
+    # the default budget (plan duration + 10 s) is about 1e8 ticks of 1e-7 s
+    with pytest.raises(ValueError, match="MAX_TICKS"):
+        follow_path(plan, scenario, dt_ctrl=1e-7)
+    with pytest.raises(ValueError, match="MAX_TICKS"):
+        follow_path(plan, scenario, time_budget=MAX_TICKS * 0.02 * 1.001)
+    # budgets of 0 to MAX_TICKS ticks are taken
+    follow_path(plan, scenario, time_budget=MAX_TICKS * 0.02)
+    with pytest.raises(TimeBudgetExceeded):
+        follow_path(plan, scenario, time_budget=0.0)
 
 
 def test_replay_determinism():
