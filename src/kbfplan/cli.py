@@ -27,8 +27,8 @@ from .core import (Obstacle, ParseError, PlanResult, Scenario,
                    combined_radius, scenario_from_dict, scenario_to_dict,
                    validate_scenario)
 from .planners import CBF_QP_BASELINE_NOTE, PLANNER_NAMES, NoPath, plan
-from .sim import (ControllerInfeasible, TimeBudgetExceeded, Trajectory,
-                  follow_path, min_barrier, write_trajectory_csv)
+from .sim import (BUDGET_MARGIN, ControllerInfeasible, TimeBudgetExceeded, Trajectory,
+                  check_budget, follow_path, min_barrier, write_trajectory_csv)
 
 # m^2: a true barrier below this is a safety violation, not round-off at a
 # touching boundary
@@ -381,6 +381,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     name, scenario = _resolve_scenario(args.scenario)
+    check_budget(args.dt_ctrl, BUDGET_MARGIN)  # the least default budget, before planning
     seed = args.seed if args.seed is not None else scenario.planner.seed
     rng = np.random.default_rng(seed)
     perceived = scenario

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CbfParams, ClfParams, RobotParams, State, combined_radius
+from .core import CbfParams, ClfParams, State
 from .dynamics import pd_control
 from .qp import ActiveSetQp, QpProblem, QpStatus
 from .safety import gate_value
@@ -44,10 +44,13 @@ class ClfData:
     A_cl: np.ndarray    # 4x4 closed-loop matrix
     M: np.ndarray       # F'P + PF, cached for the Lie derivative
     PG: np.ndarray      # P G, cached for the input Lie derivative
+    H: np.ndarray       # QP Hessian diag(2, 2, 2*penalty), read-only
 
 
 def solve_lyapunov(clf: ClfParams) -> ClfData:
     """Solve A_cl' P + P A_cl = -Q for P by vectorizing to a 16x16 system."""
+    if not 0.0 < clf.penalty < np.inf:  # else the QP Hessian is not positive definite
+        raise ValueError(f"penalty must be positive and finite, got {clf.penalty}")
     I2 = np.eye(2)
     Z2 = np.zeros((2, 2))
     A = np.block([[Z2, I2], [-clf.K_P, -clf.K_D]])
@@ -63,27 +66,28 @@ def solve_lyapunov(clf: ClfParams) -> ClfData:
         raise ArithmeticError(f"Lyapunov solve residual {residual:.3e} exceeds tolerance")
     F = np.block([[Z2, I2], [Z2, Z2]])
     G = np.vstack([Z2, I2])
-    return ClfData(P_lyap=P, A_cl=A, M=F.T @ P + P @ F, PG=P @ G)
+    H = np.diag([2.0, 2.0, 2.0 * clf.penalty])
+    H.setflags(write=False)
+    return ClfData(P_lyap=P, A_cl=A, M=F.T @ P + P @ F, PG=P @ G, H=H)
 
 
 def clf_terms(e: tuple, d: ClfData) -> tuple[float, float, tuple[float, float]]:
-    """(V, LfV, LgV) at the tracking error 4-tuple e."""
+    """(V, LfV, LgV) at the tracking error e, a 4-tuple or array."""
     ea = np.asarray(e)
     V = float(ea @ d.P_lyap @ ea)
     LfV = float(ea @ d.M @ ea)
-    lg = 2.0 * (ea @ d.PG)
-    return V, LfV, (float(lg[0]), float(lg[1]))
+    return V, LfV, tuple((2.0 * (ea @ d.PG)).tolist())
 
 
-def clf_cbf_qp_control(z: State, e: tuple, obstacles,
-                       robot: RobotParams, cbf: CbfParams, clf: ClfParams,
+def clf_cbf_qp_control(z: State, e: tuple, obstacles, cbf: CbfParams, clf: ClfParams,
                        d: ClfData, solver: ActiveSetQp,
                        mu_rm: tuple[float, float] = (0.0, 0.0)
                        ) -> tuple[tuple[float, float], float, float]:
     """Safety-filtered tracking controller at the tracking error e.
 
     Decision variables are the error-system pseudo-control (mu1, mu2) and the
-    decrease-row slack dd. One hard barrier row is added per obstacle.
+    decrease-row slack dd. One hard barrier row is added per obstacle, given
+    as (xo, yo, r*r) with r the combined radius (core.gate_obstacles).
     The barrier condition constrains the plant acceleration mu_rm - mu, where
     mu_rm is the reference feedforward acceleration.
 
@@ -92,32 +96,27 @@ def clf_cbf_qp_control(z: State, e: tuple, obstacles,
     InfeasibleSafety when the rows admit no solution.
     """
     mu_pd = pd_control(e, clf)
-    V, LfV, LgV = clf_terms(e, d)
     ea = np.asarray(e)
+    V, LfV, LgV = clf_terms(ea, d)
     eqe = float(ea @ clf.Q @ ea)
 
     rows = [[LgV[0], LgV[1], -1.0],  # decrease row, relaxed by the slack
             [0.0, 0.0, -1.0]]        # slack nonnegativity
     rhs = [-LfV - eqe, 0.0]
-    for o in obstacles:
-        r = combined_radius(o, robot)
+    x, y, theta, v = z.x, z.y, z.theta, z.v
+    for ob in obstacles:
         # with zero control mu = 0, so the gate's condition value is A itself
-        A_val = gate_value(z.x, z.y, z.theta, z.v, 0.0, 0.0, [(o.x, o.y, r * r)],
-                           cbf.gamma1, cbf.gamma2)
-        bx = 2.0 * (z.x - o.x)
-        by = 2.0 * (z.y - o.y)
+        A_val = gate_value(x, y, theta, v, 0.0, 0.0, (ob,), cbf.gamma1, cbf.gamma2)
+        bx = 2.0 * (x - ob[0])
+        by = 2.0 * (y - ob[1])
         # A + b (mu_rm - mu) >= 0  ->  b mu <= A + b mu_rm
         rows.append([bx, by, 0.0])
         rhs.append(A_val + bx * mu_rm[0] + by * mu_rm[1])
 
-    prob = QpProblem(
-        H=np.diag([2.0, 2.0, 2.0 * clf.penalty]),
-        f=np.array([-2.0 * mu_pd[0], -2.0 * mu_pd[1], 0.0]),
-        A_ineq=np.array(rows),
-        b_ineq=np.array(rhs),
-    )
-    sol = solver.solve(prob)
+    sol = solver.solve(QpProblem(H=d.H, f=np.array([-2.0 * mu_pd[0], -2.0 * mu_pd[1], 0.0]),
+                                 A_ineq=np.array(rows), b_ineq=np.array(rhs)))
     if sol.status is not QpStatus.OPTIMAL:
         raise InfeasibleSafety(f"safety-filtered QP returned {sol.status.value} "
-                               f"at state ({z.x:.3f}, {z.y:.3f}, v={z.v:.3f})")
-    return (float(sol.x[0]), float(sol.x[1])), max(0.0, float(sol.x[2])), V
+                               f"at state ({x:.3f}, {y:.3f}, v={v:.3f})")
+    mu1, mu2, slack = sol.x.tolist()
+    return (mu1, mu2), max(0.0, slack), V

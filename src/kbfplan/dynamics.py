@@ -89,21 +89,15 @@ def io_linearize(z: State, mu: tuple[float, float], p: RobotParams) -> Control:
     c = (-s * m1 + co * m2) / v2
     a = co * m1 + s * m2
     cmax = p.c_max
-    if c > cmax:
-        c = cmax
-    elif c < -cmax:
-        c = -cmax
-    if a > p.a_max:
-        a = p.a_max
-    elif a < -p.a_max:
-        a = -p.a_max
-    return Control(c, a)
+    amax = p.a_max
+    return Control(cmax if c > cmax else -cmax if c < -cmax else c,
+                   amax if a > amax else -amax if a < -amax else a)
 
 
 def pd_control(e: tuple, clf: ClfParams) -> tuple[float, float]:
     """Error-system PD law mu_pd = [-K_P -K_D] e at the tracking error 4-tuple e."""
-    kp = clf.K_P
-    kd = clf.K_D
-    m1 = -(kp[0, 0] * e[0] + kp[0, 1] * e[1]) - (kd[0, 0] * e[2] + kd[0, 1] * e[3])
-    m2 = -(kp[1, 0] * e[0] + kp[1, 1] * e[1]) - (kd[1, 0] * e[2] + kd[1, 1] * e[3])
-    return float(m1), float(m2)
+    (p00, p01), (p10, p11) = clf.K_P.tolist()
+    (d00, d01), (d10, d11) = clf.K_D.tolist()
+    e0, e1, e2, e3 = e
+    return (-(p00 * e0 + p01 * e1) - (d00 * e2 + d01 * e3),
+            -(p10 * e0 + p11 * e1) - (d10 * e2 + d11 * e3))

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .core import (Control, PlanResult, Scenario, State, UncertaintyBounds,
-                   Waypoint, combined_radius, wrap_angle)
+                   Waypoint, combined_radius, gate_obstacles, wrap_angle)
 from .control import InfeasibleSafety, clf_cbf_qp_control, solve_lyapunov
 from .dynamics import integrate_step, io_linearize, rk4_step, tracking_error
 from .qp import ActiveSetQp
@@ -65,7 +65,6 @@ class Tree:
         pts = self._xy[: len(self.states)]
         d2 = (pts[:, 0] - qx) ** 2 + (pts[:, 1] - qy) ** 2
         return int(np.argmin(d2))  # argmin keeps the lowest index on ties
-
 
 
 def _path_indices(parents: list[int], leaf: int) -> list[int]:
@@ -285,8 +284,7 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     tol2 = s.planner.goal_tolerance ** 2
     cmax = robot.c_max
     a_max = robot.a_max
-    radii = [combined_radius(o, robot) for o in s.obstacles]
-    obs = [(o.x, o.y, r * r) for o, r in zip(s.obstacles, radii)]
+    obs = gate_obstacles(s.obstacles, robot)
     d1 = bounds.delta1_max
     d2 = bounds.delta2_max
 
@@ -345,6 +343,7 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
     max_ticks = 10 * K_SIM
     b = s.bounds
     radii = [combined_radius(o, s.robot) for o in s.obstacles]
+    obs = gate_obstacles(s.obstacles, robot)
     data = solve_lyapunov(s.clf)
     solver = ActiveSetQp()
     v_ref = STEER_SPEED_FRAC * robot.v_max
@@ -373,8 +372,7 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
             ref_vel = (0.0, 0.0) if adv >= dist else (ux * v_ref, uy * v_ref)
             try:
                 mu_e, _, _ = clf_cbf_qp_control(z, tracking_error(z, ref_pos, ref_vel),
-                                                s.obstacles, robot, s.cbf, s.clf,
-                                                data, solver)
+                                                obs, s.cbf, s.clf, data, solver)
             except InfeasibleSafety:
                 ok = False
                 break

@@ -39,8 +39,9 @@ class QpProblem:
         f = np.asarray(self.f, dtype=float).ravel()
         n = f.shape[0]
         H = np.asarray(self.H, dtype=float).reshape(n, n)
-        if not np.allclose(H, H.T, atol=1e-12, rtol=0.0):
-            raise ValueError("H must be symmetric")
+        h = H.tolist()  # scalar loop: np.allclose costs more than the solve here
+        if not all(abs(h[i][j] - h[j][i]) <= 1e-12 for i in range(n) for j in range(i, n)):
+            raise ValueError("H must be symmetric")  # or holds a NaN, diagonal included
         A = np.asarray(self.A_ineq, dtype=float).reshape(-1, n)
         b = np.asarray(self.b_ineq, dtype=float).ravel()
         if A.shape[0] != b.shape[0]:
@@ -175,12 +176,11 @@ class ActiveSetQp:
         except np.linalg.LinAlgError:
             return None
         x = sol[:n]
-        mult = sol[n:]
-        if np.any(mult < -_MULT_TOL):
+        mult = sol[n:].tolist()
+        # scalar tests are cheaper than numpy reductions here; NaN trips neither
+        if any(v < -_MULT_TOL for v in mult) or any(v > _VIOL_TOL for v in (A @ x - b).tolist()):
             return None
-        if np.any(A @ x - b > _VIOL_TOL):
-            return None
-        return self._optimal(prob, x, idx, [max(0.0, float(v)) for v in mult], 0)
+        return self._optimal(prob, x, idx, [max(0.0, v) for v in mult], 0)
 
     def _optimal(self, prob: QpProblem, x: np.ndarray, W: list[int],
                  lam: list[float], iters: int) -> QpSolution:

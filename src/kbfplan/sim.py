@@ -14,7 +14,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .core import Control, PlanResult, Scenario, State, combined_radius
+from .core import Control, PlanResult, Scenario, State, combined_radius, gate_obstacles
 from .control import InfeasibleSafety, clf_cbf_qp_control, clf_terms, solve_lyapunov
 from .dynamics import integrate_step, io_linearize, tracking_error
 from .qp import ActiveSetQp
@@ -22,6 +22,7 @@ from .safety import barrier_value
 
 DT_CTRL_DEFAULT = 0.02  # s
 MAX_TICKS = 10**6       # follow_path takes a time budget of 0 to MAX_TICKS ticks
+BUDGET_MARGIN = 10.0    # s, the default time budget is the plan's duration plus this
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,9 @@ class _PlanReference:
             self.times.append(self.times[-1] + dist / speed)
             self.px.append(goal_xy[0])
             self.py.append(goal_xy[1])
-        n = len(self.times)
-        self.vx = [0.0] * n
-        self.vy = [0.0] * n
-        for k in range(n - 1):
-            span = self.times[k + 1] - self.times[k]
-            self.vx[k] = (self.px[k + 1] - self.px[k]) / span
-            self.vy[k] = (self.py[k + 1] - self.py[k]) / span
+        spans = [b - a for a, b in zip(self.times, self.times[1:])]
+        self.vx = [(b - a) / h for a, b, h in zip(self.px, self.px[1:], spans)] + [0.0]
+        self.vy = [(b - a) / h for a, b, h in zip(self.py, self.py[1:], spans)] + [0.0]
         self.duration = self.times[-1]
 
     def eval(self, t: float):
@@ -113,6 +110,14 @@ class _PlanReference:
         return pos, vel, acc
 
 
+def check_budget(dt_ctrl: float, time_budget: float) -> None:
+    """ValueError unless 0 < dt_ctrl < inf and 0 <= time_budget <= MAX_TICKS * dt_ctrl."""
+    if not 0.0 < dt_ctrl < math.inf:
+        raise ValueError(f"dt_ctrl must be positive and finite, got {dt_ctrl}")
+    if not 0.0 <= time_budget <= MAX_TICKS * dt_ctrl:
+        raise ValueError(f"time_budget {time_budget} is not in [0, MAX_TICKS * dt_ctrl]")
+
+
 def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
                 perceived_obstacles=None, time_budget: float | None = None) -> Trajectory:
     """Track a plan with the safety-filtered QP controller on the true plant.
@@ -121,21 +126,18 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
     scenario's true set); recorded barrier values always use the true set.
     Terminates when the plant enters the goal region. Raises
     ControllerInfeasible if the safety QP fails and TimeBudgetExceeded when
-    the budget (plan duration + 10 s by default) runs out; both carry the
-    partial trajectory. Raises ValueError on a dt_ctrl or budget out of range.
+    the budget (plan duration + BUDGET_MARGIN by default) runs out; both carry
+    the partial trajectory. Raises ValueError as check_budget does.
     """
-    if not 0.0 < dt_ctrl < math.inf:
-        raise ValueError(f"dt_ctrl must be positive and finite, got {dt_ctrl}")
-    if perceived_obstacles is None:
-        perceived_obstacles = s.obstacles
-    data = solve_lyapunov(s.clf)
-    solver = ActiveSetQp()
     ref = _PlanReference(plan, (s.goal.x, s.goal.y))
     if time_budget is None:
-        time_budget = ref.duration + 10.0
-    if not 0.0 <= time_budget <= MAX_TICKS * dt_ctrl:
-        raise ValueError(f"time_budget {time_budget} is not in [0, MAX_TICKS * dt_ctrl]")
-    true_radii = [combined_radius(o, s.robot) for o in s.obstacles]
+        time_budget = ref.duration + BUDGET_MARGIN
+    check_budget(dt_ctrl, time_budget)
+    obs = gate_obstacles(s.obstacles if perceived_obstacles is None else perceived_obstacles,
+                         s.robot)
+    data = solve_lyapunov(s.clf)
+    solver = ActiveSetQp()
+    true_obs = [(o, combined_radius(o, s.robot)) for o in s.obstacles]
     tol2 = s.planner.goal_tolerance ** 2
     gx, gy = s.goal.x, s.goal.y
 
@@ -144,7 +146,7 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
     samples: list[TrajectorySample] = []
 
     def snapshot(state: State) -> tuple[float, ...]:
-        return tuple(barrier_value(state, o, r) for o, r in zip(s.obstacles, true_radii))
+        return tuple([barrier_value(state, o, r) for o, r in true_obs])
 
     while True:
         pos, vel, acc = ref.eval(t)
@@ -159,8 +161,8 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
             raise TimeBudgetExceeded(t, Trajectory(tuple(samples)))
 
         try:
-            mu_e, slack, V = clf_cbf_qp_control(z, e, perceived_obstacles, s.robot,
-                                                s.cbf, s.clf, data, solver, mu_rm=acc)
+            mu_e, slack, V = clf_cbf_qp_control(z, e, obs, s.cbf, s.clf, data, solver,
+                                                mu_rm=acc)
         except InfeasibleSafety as exc:
             raise ControllerInfeasible(t, Trajectory(tuple(samples))) from exc
         u = io_linearize(z, (acc[0] - mu_e[0], acc[1] - mu_e[1]), s.robot)

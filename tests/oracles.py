@@ -12,8 +12,14 @@ import time
 
 import numpy as np
 
+from kbfplan.control import InfeasibleSafety, clf_terms, solve_lyapunov
 from kbfplan.core import Control, PlanResult, State, Waypoint, combined_radius
+from kbfplan.dynamics import integrate_step, io_linearize, tracking_error
 from kbfplan.planners import NoPath
+from kbfplan.qp import ActiveSetQp, QpProblem, QpStatus
+from kbfplan.safety import barrier_value, gate_value
+from kbfplan.sim import (DT_CTRL_DEFAULT, ControllerInfeasible, TimeBudgetExceeded, Trajectory,
+                         TrajectorySample, _PlanReference)
 
 
 def solve_qp_enumeration(H, f, A, b, tol=1e-9):
@@ -261,3 +267,105 @@ def reference_plan_kbf(s, rng, bounds=None, trace=None):
                               tuple((tree.parents[n], n) for n in range(1, len(states))),
                               it, time.perf_counter() - started)
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
+
+
+# ---------------------------------------------------------------------------
+# Reference follower tick that redoes all per-tick work in numpy: a fresh
+# np.diag Hessian each tick, a QP problem whose H passes np.allclose, numpy
+# reductions on the solver's warm-start path, numpy-indexed PD gains and
+# combined_radius per obstacle. follow_path must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+class ReferenceQp(ActiveSetQp):
+    """ActiveSetQp whose warm-start path tests its KKT point with np.any."""
+
+    def _solve_working_set(self, prob, W):
+        H, f, A, b = prob.H, prob.f, prob.A_ineq, prob.b_ineq
+        n = f.shape[0]
+        idx = list(W)
+        Aw = A[idx]
+        k = len(idx)
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = H
+        kkt[:n, n:] = Aw.T
+        kkt[n:, :n] = Aw
+        rhs = np.concatenate([-f, b[idx]])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        x = sol[:n]
+        mult = sol[n:]
+        if np.any(mult < -1e-9):
+            return None
+        if np.any(A @ x - b > 1e-10):
+            return None
+        return self._optimal(prob, x, idx, [max(0.0, float(v)) for v in mult], 0)
+
+
+def reference_qp_control(z, e, obstacles, robot, cbf, clf, d, solver, mu_rm=(0.0, 0.0)):
+    """The safety-filtered tracking QP, built from Obstacle objects each tick."""
+    kp, kd = clf.K_P, clf.K_D
+    mu_pd = (float(-(kp[0, 0] * e[0] + kp[0, 1] * e[1]) - (kd[0, 0] * e[2] + kd[0, 1] * e[3])),
+             float(-(kp[1, 0] * e[0] + kp[1, 1] * e[1]) - (kd[1, 0] * e[2] + kd[1, 1] * e[3])))
+    V, LfV, LgV = clf_terms(e, d)
+    ea = np.asarray(e)
+    eqe = float(ea @ clf.Q @ ea)
+    rows = [[LgV[0], LgV[1], -1.0], [0.0, 0.0, -1.0]]
+    rhs = [-LfV - eqe, 0.0]
+    for o in obstacles:
+        r = combined_radius(o, robot)
+        A_val = gate_value(z.x, z.y, z.theta, z.v, 0.0, 0.0, [(o.x, o.y, r * r)],
+                           cbf.gamma1, cbf.gamma2)
+        bx = 2.0 * (z.x - o.x)
+        by = 2.0 * (z.y - o.y)
+        rows.append([bx, by, 0.0])
+        rhs.append(A_val + bx * mu_rm[0] + by * mu_rm[1])
+    H = np.diag([2.0, 2.0, 2.0 * clf.penalty])
+    if not np.allclose(H, H.T, atol=1e-12, rtol=0.0):
+        raise ValueError("H must be symmetric")
+    sol = solver.solve(QpProblem(H=H, f=np.array([-2.0 * mu_pd[0], -2.0 * mu_pd[1], 0.0]),
+                                 A_ineq=np.array(rows), b_ineq=np.array(rhs)))
+    if sol.status is not QpStatus.OPTIMAL:
+        raise InfeasibleSafety(sol.status.value)
+    return (float(sol.x[0]), float(sol.x[1])), max(0.0, float(sol.x[2])), V
+
+
+def reference_follow_path(plan, s, perceived_obstacles=None):
+    """follow_path at the default period and budget, on the frozen tick."""
+    dt_ctrl = DT_CTRL_DEFAULT
+    if perceived_obstacles is None:
+        perceived_obstacles = s.obstacles
+    data = solve_lyapunov(s.clf)
+    solver = ReferenceQp()
+    ref = _PlanReference(plan, (s.goal.x, s.goal.y))
+    time_budget = ref.duration + 10.0
+    true_radii = [combined_radius(o, s.robot) for o in s.obstacles]
+    tol2 = s.planner.goal_tolerance ** 2
+    z = plan.waypoints[0].state
+    t = 0.0
+    samples = []
+
+    def snapshot(state):
+        return tuple(barrier_value(state, o, r) for o, r in zip(s.obstacles, true_radii))
+
+    while True:
+        pos, vel, acc = ref.eval(t)
+        e = tracking_error(z, pos, vel)
+        dx = z.x - s.goal.x
+        dy = z.y - s.goal.y
+        if dx * dx + dy * dy <= tol2:
+            samples.append(TrajectorySample(t, z, Control(0.0, 0.0), snapshot(z),
+                                            clf_terms(e, data)[0], 0.0))
+            return Trajectory(tuple(samples))
+        if t > time_budget:
+            raise TimeBudgetExceeded(t, Trajectory(tuple(samples)))
+        try:
+            mu_e, slack, V = reference_qp_control(z, e, perceived_obstacles, s.robot, s.cbf,
+                                                  s.clf, data, solver, mu_rm=acc)
+        except InfeasibleSafety as exc:
+            raise ControllerInfeasible(t, Trajectory(tuple(samples))) from exc
+        u = io_linearize(z, (acc[0] - mu_e[0], acc[1] - mu_e[1]), s.robot)
+        samples.append(TrajectorySample(t, z, u, snapshot(z), V, slack))
+        z = integrate_step(z, u, dt_ctrl, s.robot)
+        t += dt_ctrl

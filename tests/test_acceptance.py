@@ -30,6 +30,7 @@ from kbfplan.sim import (ControllerInfeasible, TimeBudgetExceeded, follow_path,
                          min_barrier)
 
 RUNS = 100
+REPEATS = 3  # criterion 2 times each of its two calls as the fastest of this many
 SCENARIOS = ("scenario1", "scenario2", "scenario3", "scenario4")
 ROBUST_SETTINGS = (UncertaintyBounds(0.0, 0.0),
                    UncertaintyBounds(0.3, 0.3),
@@ -66,6 +67,7 @@ def campaign(corpus):
         radii = [combined_radius(o, s.robot) for o in s.obstacles]
         rows = {
             "t_rrt": [], "t_kbf": [], "t_qp": [], "t_rob0": [], "t_rob3": [], "t_rob5": [],
+            "t_kbf_best": [], "t_rob0_best": [],
             "ok_rrt": 0, "ok_kbf": 0, "ok_qp": 0, "ok_rob0": 0, "ok_rob3": 0, "ok_rob5": 0,
             "reduction_mismatches": 0, "replay_violations": 0,
             "follow_failures": 0, "follow_min_barrier": math.inf, "follows": 0,
@@ -98,6 +100,15 @@ def campaign(corpus):
                 and r_kbf.tree_edges == r_rob.tree_edges)
             if not (same_trace and same_plan):
                 rows["reduction_mismatches"] += 1
+            best_kbf = rows["t_kbf"][-1]
+            best_rob0 = rows["t_rob0"][-1]
+            for _ in range(REPEATS - 1):
+                best_kbf = min(best_kbf, _timed(plan_rrt_kbf, s, np.random.default_rng(seed),
+                                                [])[0])
+                best_rob0 = min(best_rob0, _timed(plan_robust_rrt_kbf, s, ROBUST_SETTINGS[0],
+                                                  np.random.default_rng(seed), [])[0])
+            rows["t_kbf_best"].append(best_kbf)
+            rows["t_rob0_best"].append(best_rob0)
 
             dt_run, r = _timed(plan_robust_rrt_kbf, s, ROBUST_SETTINGS[1],
                                np.random.default_rng(seed))
@@ -157,13 +168,16 @@ def test_criterion_2_zero_uncertainty_reduction(campaign):
     for name in SCENARIOS:
         rows = campaign[name]
         mism = rows["reduction_mismatches"]
-        m_kbf = np.mean(rows["t_kbf"])
-        m_rob0 = np.mean(rows["t_rob0"])
+        # the fastest of REPEATS calls per seed, so that a stall of the host
+        # during one call does not read as a difference between the planners
+        m_kbf = np.mean(rows["t_kbf_best"])
+        m_rob0 = np.mean(rows["t_rob0_best"])
         drift = abs(m_rob0 - m_kbf) / m_kbf
         this_ok = mism == 0 and drift <= 0.10
         ok = ok and this_ok
         details.append(f"{name}: mismatches {mism}, runtime drift {drift * 100:.1f}%")
-    assert _report("2 zero-uncertainty-reduction", ok, "; ".join(details))
+    assert _report("2 zero-uncertainty-reduction", ok,
+                   "; ".join(details) + f" (fastest of {REPEATS} calls per seed)")
 
 
 def test_criterion_3_uncertainty_cost_trend(campaign):

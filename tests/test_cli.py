@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kbfplan import cli
 from kbfplan.cli import (BENCH_CSV_HEADER, bundled_scenario_names, emit_svg,
                          format_bench_table, inject_perception_error,
                          load_bundled_scenario, load_scenario, main, run_bench,
                          write_bench_csv)
 from kbfplan.core import ParseError, Scenario, UncertaintyBounds, validate_scenario
-from kbfplan.planners import plan_rrt
+from kbfplan.planners import plan, plan_rrt
 from kbfplan.sim import follow_path
 
 
@@ -287,6 +288,19 @@ def test_main_simulate_rejects_more_than_max_ticks(tmp_path, capsys):
     assert code == 2
     assert "MAX_TICKS" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_simulate_rejects_a_short_period_before_planning(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "plan", counted)
+    assert main(["simulate", "--scenario", "scenario1", "--dt-ctrl", "1e-7"]) == 2
+    assert "MAX_TICKS" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_main_exit_code_no_path(tmp_path):

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ReferenceQp, reference_follow_path, reference_qp_control
+
+from kbfplan import planners
 from kbfplan.cli import inject_perception_error, load_bundled_scenario
 from kbfplan.control import clf_terms, solve_lyapunov
 from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
                           PlanResult, RobotParams, Scenario, State,
                           UncertaintyBounds, Waypoint, validate_scenario)
 from kbfplan.dynamics import tracking_error
-from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_kbf
+from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_cbf_qp, plan_rrt_kbf
 from kbfplan.sim import (MAX_TICKS, ControllerInfeasible, TimeBudgetExceeded, Trajectory,
                          TrajectorySample, _PlanReference, follow_path, min_barrier,
                          write_trajectory_csv)
@@ -121,6 +124,71 @@ def test_replay_determinism():
     t1 = follow_path(plan, s)
     t2 = follow_path(plan, s)
     assert t1 == t2
+
+
+def _follow_outcome(follow, plan, s, perceived_obstacles=None):
+    """(failure type or None, samples) of one follow."""
+    try:
+        return None, follow(plan, s, perceived_obstacles=perceived_obstacles).samples
+    except (ControllerInfeasible, TimeBudgetExceeded) as exc:
+        return type(exc), exc.trajectory.samples
+
+
+def assert_follow_matches_reference(plan, s, perceived_obstacles=None):
+    kind, samples = _follow_outcome(follow_path, plan, s, perceived_obstacles)
+    ref_kind, ref_samples = _follow_outcome(reference_follow_path, plan, s,
+                                            perceived_obstacles)
+    assert kind is ref_kind
+    assert len(samples) == len(ref_samples)
+    for a, b in zip(samples, ref_samples):
+        assert (a.t, a.state, a.control, a.b_values, a.V, a.d) == \
+            (b.t, b.state, b.control, b.b_values, b.V, b.d)
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3", "scenario4"])
+def test_follow_matches_frozen_tick(name):
+    s = load_bundled_scenario(name)
+    for seed in range(25):
+        try:
+            plan = plan_rrt_kbf(s, np.random.default_rng(seed))
+        except NoPath:
+            continue
+        assert_follow_matches_reference(plan, s)
+
+
+@pytest.mark.parametrize("name,seed", [("scenario4", 4072274708), ("scenario1", 548737860)])
+def test_follow_matches_frozen_tick_on_saturating_runs(name, seed):
+    # on these runs the input box clips most of the QP's controls and the
+    # plant enters an obstacle; the fast tick must reproduce them too
+    s = load_bundled_scenario(name)
+    assert_follow_matches_reference(plan_rrt_kbf(s, np.random.default_rng(seed)), s)
+
+
+def test_follow_matches_frozen_tick_under_perception_error():
+    truth = load_bundled_scenario("scenario2")
+    rng = np.random.default_rng(5)
+    perceived = inject_perception_error(truth, 0.1, 0.05, rng)
+    plan = plan_rrt_kbf(perceived, rng)
+    assert_follow_matches_reference(plan, truth, perceived.obstacles)
+
+
+def test_cbf_qp_planner_matches_frozen_tick(monkeypatch):
+    # rrt-cbf-qp runs the same controller for every extension
+    for name in ("scenario1", "scenario2", "scenario3", "scenario4"):
+        s = load_bundled_scenario(name)
+        solver = ReferenceQp()
+
+        def frozen(z, e, _obstacles, cbf, clf, d, _solver, mu_rm=(0.0, 0.0)):
+            return reference_qp_control(z, e, s.obstacles, s.robot, cbf, clf, d, solver, mu_rm)
+
+        shipped = plan_rrt_cbf_qp(s, np.random.default_rng(0))
+        with monkeypatch.context() as m:
+            m.setattr(planners, "clf_cbf_qp_control", frozen)
+            reference = plan_rrt_cbf_qp(s, np.random.default_rng(0))
+        assert shipped.waypoints == reference.waypoints
+        assert shipped.tree_nodes == reference.tree_nodes
+        assert shipped.tree_edges == reference.tree_edges
+        assert shipped.iterations_used == reference.iterations_used
 
 
 def test_min_barrier_no_obstacles():
