@@ -11,7 +11,7 @@ from .core import (Bounds, CbfParams, ClfParams, Control, Obstacle, ParseError,
 from .dynamics import integrate_step, io_linearize, pd_control, tracking_error
 from .qp import ActiveSetQp, QpProblem, QpSolution, QpStatus
 from .control import (ClfData, InfeasibleSafety, NotHurwitz, clf_cbf_qp_control,
-                      clf_terms, solve_lyapunov)
+                      clf_terms, safety_qp, solve_lyapunov)
 from .safety import barrier_value, kbf_check, robust_worst_value
 from .planners import (NoPath, PLANNER_NAMES, Tree, plan, plan_robust_rrt_kbf,
                        plan_rrt, plan_rrt_cbf_qp, plan_rrt_kbf,

@@ -27,8 +27,8 @@ from .core import (Obstacle, ParseError, PlanResult, Scenario,
                    combined_radius, scenario_from_dict, scenario_to_dict,
                    validate_scenario)
 from .planners import CBF_QP_BASELINE_NOTE, PLANNER_NAMES, NoPath, plan
-from .sim import (BUDGET_MARGIN, ControllerInfeasible, TimeBudgetExceeded, Trajectory,
-                  check_budget, follow_path, min_barrier, write_trajectory_csv)
+from .sim import (BUDGET_MARGIN, MAX_TICKS, ControllerInfeasible, TimeBudgetExceeded,
+                  Trajectory, follow_path, min_barrier, write_trajectory_csv)
 
 # m^2: a true barrier below this is a safety violation, not round-off at a
 # touching boundary
@@ -381,7 +381,9 @@ def _cmd_plan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     name, scenario = _resolve_scenario(args.scenario)
-    check_budget(args.dt_ctrl, BUDGET_MARGIN)  # the least default budget, before planning
+    if not BUDGET_MARGIN / MAX_TICKS <= args.dt_ctrl < math.inf:  # checked before planning
+        raise ValueError(f"--dt-ctrl must be finite and at least BUDGET_MARGIN / MAX_TICKS = "
+                         f"{BUDGET_MARGIN / MAX_TICKS:g} s, got {args.dt_ctrl:g}")
     seed = args.seed if args.seed is not None else scenario.planner.seed
     rng = np.random.default_rng(seed)
     perceived = scenario

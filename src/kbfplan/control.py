@@ -23,7 +23,7 @@ import numpy as np
 from .core import CbfParams, ClfParams, State
 from .dynamics import pd_control
 from .qp import ActiveSetQp, QpProblem, QpStatus
-from .safety import gate_value
+from .safety import barrier_rows
 
 _LYAP_RESIDUAL_TOL = 1e-10
 
@@ -79,8 +79,15 @@ def clf_terms(e: tuple, d: ClfData) -> tuple[float, float, tuple[float, float]]:
     return V, LfV, tuple((2.0 * (ea @ d.PG)).tolist())
 
 
+def safety_qp(d: ClfData, n_obstacles: int) -> QpProblem:
+    """The controller's QP over (mu1, mu2, slack), built once per follow: the
+    decrease row relaxed by the slack, slack >= 0, then one row per obstacle."""
+    A = np.array([[0.0, 0.0, -1.0]] * 2 + [[0.0, 0.0, 0.0]] * n_obstacles)
+    return QpProblem(H=d.H, f=np.zeros(3), A_ineq=A, b_ineq=np.zeros(2 + n_obstacles))
+
+
 def clf_cbf_qp_control(z: State, e: tuple, obstacles, cbf: CbfParams, clf: ClfParams,
-                       d: ClfData, solver: ActiveSetQp,
+                       d: ClfData, solver: ActiveSetQp, prob: QpProblem,
                        mu_rm: tuple[float, float] = (0.0, 0.0)
                        ) -> tuple[tuple[float, float], float, float]:
     """Safety-filtered tracking controller at the tracking error e.
@@ -89,7 +96,8 @@ def clf_cbf_qp_control(z: State, e: tuple, obstacles, cbf: CbfParams, clf: ClfPa
     decrease-row slack dd. One hard barrier row is added per obstacle, given
     as (xo, yo, r*r) with r the combined radius (core.gate_obstacles).
     The barrier condition constrains the plant acceleration mu_rm - mu, where
-    mu_rm is the reference feedforward acceleration.
+    mu_rm is the reference feedforward acceleration. The tick rewrites prob,
+    from safety_qp(d, len(obstacles)), in place.
 
     Returns (error-system pseudo-control, slack, V at e). The caller maps to
     the plant via mu_plant = mu_rm - mu and then io_linearize. Raises
@@ -98,25 +106,20 @@ def clf_cbf_qp_control(z: State, e: tuple, obstacles, cbf: CbfParams, clf: ClfPa
     mu_pd = pd_control(e, clf)
     ea = np.asarray(e)
     V, LfV, LgV = clf_terms(ea, d)
-    eqe = float(ea @ clf.Q @ ea)
-
-    rows = [[LgV[0], LgV[1], -1.0],  # decrease row, relaxed by the slack
-            [0.0, 0.0, -1.0]]        # slack nonnegativity
-    rhs = [-LfV - eqe, 0.0]
-    x, y, theta, v = z.x, z.y, z.theta, z.v
-    for ob in obstacles:
-        # with zero control mu = 0, so the gate's condition value is A itself
-        A_val = gate_value(x, y, theta, v, 0.0, 0.0, (ob,), cbf.gamma1, cbf.gamma2)
-        bx = 2.0 * (x - ob[0])
-        by = 2.0 * (y - ob[1])
+    f, rows, rhs = prob.f, prob.A_ineq.reshape(-1), prob.b_ineq  # views, written in place
+    f[0], f[1] = -2.0 * mu_pd[0], -2.0 * mu_pd[1]
+    rows[0], rows[1] = LgV
+    rhs[0] = -LfV - float(ea @ clf.Q @ ea)
+    m0, m1 = mu_rm
+    for i, (bx, by, value) in enumerate(
+            barrier_rows(z.x, z.y, z.theta, z.v, obstacles, cbf.gamma1, cbf.gamma2), 2):
         # A + b (mu_rm - mu) >= 0  ->  b mu <= A + b mu_rm
-        rows.append([bx, by, 0.0])
-        rhs.append(A_val + bx * mu_rm[0] + by * mu_rm[1])
+        rows[3 * i], rows[3 * i + 1] = bx, by
+        rhs[i] = value + bx * m0 + by * m1
 
-    sol = solver.solve(QpProblem(H=d.H, f=np.array([-2.0 * mu_pd[0], -2.0 * mu_pd[1], 0.0]),
-                                 A_ineq=np.array(rows), b_ineq=np.array(rhs)))
+    sol = solver.solve(prob)
     if sol.status is not QpStatus.OPTIMAL:
         raise InfeasibleSafety(f"safety-filtered QP returned {sol.status.value} "
-                               f"at state ({x:.3f}, {y:.3f}, v={v:.3f})")
+                               f"at state ({z.x:.3f}, {z.y:.3f}, v={z.v:.3f})")
     mu1, mu2, slack = sol.x.tolist()
     return (mu1, mu2), max(0.0, slack), V

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (Control, PlanResult, Scenario, State, UncertaintyBounds,
                    Waypoint, combined_radius, gate_obstacles, wrap_angle)
-from .control import InfeasibleSafety, clf_cbf_qp_control, solve_lyapunov
+from .control import InfeasibleSafety, clf_cbf_qp_control, safety_qp, solve_lyapunov
 from .dynamics import integrate_step, io_linearize, rk4_step, tracking_error
 from .qp import ActiveSetQp
 from .safety import barrier_value, gate_value
@@ -346,6 +346,7 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
     obs = gate_obstacles(s.obstacles, robot)
     data = solve_lyapunov(s.clf)
     solver = ActiveSetQp()
+    prob = safety_qp(data, len(obs))
     v_ref = STEER_SPEED_FRAC * robot.v_max
     tol2 = SAMPLE_TOLERANCE * SAMPLE_TOLERANCE
 
@@ -372,7 +373,7 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
             ref_vel = (0.0, 0.0) if adv >= dist else (ux * v_ref, uy * v_ref)
             try:
                 mu_e, _, _ = clf_cbf_qp_control(z, tracking_error(z, ref_pos, ref_vel),
-                                                obs, s.cbf, s.clf, data, solver)
+                                                obs, s.cbf, s.clf, data, solver, prob)
             except InfeasibleSafety:
                 ok = False
                 break

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,9 @@ class QpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class QpProblem:
-    """min 0.5 x'Hx + f'x  subject to  A_ineq x <= b_ineq."""
+    """min 0.5 x'Hx + f'x  subject to  A_ineq x <= b_ineq.
+
+    Validated once: f, A_ineq and b_ineq, not H, may be rewritten in place between solves."""
 
     H: np.ndarray
     f: np.ndarray
@@ -55,11 +57,19 @@ class QpProblem:
 @dataclass(frozen=True)
 class QpSolution:
     x: np.ndarray | None
-    objective: float
     status: QpStatus
     active_set: tuple[int, ...]
     multipliers: tuple[float, ...]  # aligned with active_set, >= 0
     iterations: int                 # working-set changes performed
+    _cost: tuple = field(default=(), repr=False)  # (H, -f) as solved, for objective
+
+    @property
+    def objective(self) -> float:
+        """0.5 x'Hx + f'x at x (NaN without x), computed on request."""
+        if self.x is None:
+            return math.nan
+        H, neg_f = self._cost
+        return float(0.5 * (self.x @ H @ self.x) - neg_f @ self.x)
 
 
 class ActiveSetQp:
@@ -71,7 +81,8 @@ class ActiveSetQp:
     constraint whose multiplier would cross zero is dropped first. When the
     incoming constraint normal lies in the span of the working set and no
     multiplier can give way, the dual is unbounded, which certifies primal
-    infeasibility (Farkas direction).
+    infeasibility (Farkas direction). A NaN in a row, bound or cost fails
+    closed: the result is INFEASIBLE.
 
     The working set of the last optimal solve is retained and tried first on
     the next call, so repeated solves of slowly varying instances usually
@@ -83,38 +94,39 @@ class ActiveSetQp:
         self._warm: tuple[int, ...] = ()
 
     def solve(self, prob: QpProblem) -> QpSolution:
-        H, f, A, b = prob.H, prob.f, prob.A_ineq, prob.b_ineq
+        H, A, b = prob.H, prob.A_ineq, prob.b_ineq
+        neg_f = -prob.f
         m = A.shape[0]
 
         if m and self._warm and all(i < m for i in self._warm):
-            warm = self._solve_working_set(prob, self._warm)
+            warm = self._solve_working_set(H, neg_f, A, b, self._warm)
             if warm is not None:
                 return warm
 
-        x = np.linalg.solve(H, -f)
+        x = np.linalg.solve(H, neg_f)
         if m == 0:
-            return self._optimal(prob, x, [], [], 0)
+            return self._optimal(H, neg_f, x, [], [], 0)
 
         W: list[int] = []
         lam: list[float] = []
         changes = 0
         while True:
-            viol = A @ x - b
             p = -1
             worst = _VIOL_TOL
-            for i in range(m):
-                if viol[i] > worst and i not in W:
-                    worst = viol[i]
+            for i, v in enumerate((A @ x - b).tolist()):
+                if v > worst and i not in W:
+                    worst = v
                     p = i
+                elif v != v:  # a NaN row fails closed
+                    return QpSolution(None, QpStatus.INFEASIBLE, tuple(W), tuple(lam), changes)
             if p < 0:
-                return self._optimal(prob, x, W, lam, changes)
+                return self._optimal(H, neg_f, x, W, lam, changes)
 
             n_p = -A[p]  # inward normal of the incoming constraint
             lam_p = 0.0
             while True:
                 if changes >= self.max_iter:
-                    return QpSolution(None, math.nan, QpStatus.ITER_LIMIT,
-                                      tuple(W), tuple(lam), changes)
+                    return QpSolution(None, QpStatus.ITER_LIMIT, tuple(W), tuple(lam), changes)
                 hn = np.linalg.solve(H, n_p)
                 if W:
                     N = -A[W].T
@@ -140,8 +152,7 @@ class ActiveSetQp:
                             k_drop = j
                 step = step_add if step_add < step_drop else step_drop
                 if step == math.inf:
-                    return QpSolution(None, math.nan, QpStatus.INFEASIBLE,
-                                      tuple(W), tuple(lam), changes)
+                    return QpSolution(None, QpStatus.INFEASIBLE, tuple(W), tuple(lam), changes)
                 for j in range(len(W)):
                     lam[j] -= step * float(r[j])
                 lam_p += step
@@ -159,10 +170,9 @@ class ActiveSetQp:
 
     # -- helpers ------------------------------------------------------------
 
-    def _solve_working_set(self, prob: QpProblem, W: tuple[int, ...]) -> QpSolution | None:
+    def _solve_working_set(self, H, neg_f, A, b, W: tuple[int, ...]) -> QpSolution | None:
         """Try a candidate active set directly; return its KKT point if valid."""
-        H, f, A, b = prob.H, prob.f, prob.A_ineq, prob.b_ineq
-        n = f.shape[0]
+        n = neg_f.shape[0]
         idx = list(W)
         Aw = A[idx]
         k = len(idx)
@@ -170,24 +180,25 @@ class ActiveSetQp:
         kkt[:n, :n] = H
         kkt[:n, n:] = Aw.T
         kkt[n:, :n] = Aw
-        rhs = np.concatenate([-f, b[idx]])
+        rhs = np.concatenate([neg_f, b[idx]])
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             return None
         x = sol[:n]
         mult = sol[n:].tolist()
-        # scalar tests are cheaper than numpy reductions here; NaN trips neither
-        if any(v < -_MULT_TOL for v in mult) or any(v > _VIOL_TOL for v in (A @ x - b).tolist()):
+        # scalar tests beat numpy reductions here; a NaN fails them, then the cold path
+        if (any(not v >= -_MULT_TOL for v in mult)
+                or any(not v <= _VIOL_TOL for v in (A @ x - b).tolist())):
             return None
-        return self._optimal(prob, x, idx, [max(0.0, v) for v in mult], 0)
+        return self._optimal(H, neg_f, x, idx, [max(0.0, v) for v in mult], 0)
 
-    def _optimal(self, prob: QpProblem, x: np.ndarray, W: list[int],
-                 lam: list[float], iters: int) -> QpSolution:
+    def _optimal(self, H, neg_f, x, W: list[int], lam: list[float], iters: int) -> QpSolution:
+        if not all(map(math.isfinite, x.tolist())):
+            return QpSolution(None, QpStatus.INFEASIBLE, tuple(W), tuple(lam), iters)
         pairs = sorted(zip(W, lam))
         active = tuple(i for i, _ in pairs)
         mults = tuple(float(v) for _, v in pairs)
-        obj = float(0.5 * (x @ prob.H @ x) + prob.f @ x)
         self._warm = active
-        return QpSolution(x, obj, QpStatus.OPTIMAL, active, mults, iters)
+        return QpSolution(x, QpStatus.OPTIMAL, active, mults, iters, (H, neg_f))
 

@@ -78,6 +78,22 @@ def gate_value(x: float, y: float, theta: float, v: float, c: float, a: float,
     return worst
 
 
+def barrier_rows(x: float, y: float, theta: float, v: float, obstacles, g1: float, g2: float):
+    """Yield (2 dx, 2 dy, A + b mu) per obstacle at zero control, the follower's rows.
+    The last is gate_value(x, y, theta, v, 0.0, 0.0, [ob], g1, g2) bit for bit,
+    signed zeros and NaN included, with sin/cos taken once for all obstacles."""
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    vx, vy, v2 = v * cos_t, v * sin_t, v * v
+    mu1 = -v2 * sin_t * 0.0 + cos_t * 0.0  # the gate's mu at c = a = 0: +-0.0 or NaN
+    mu2 = v2 * cos_t * 0.0 + sin_t * 0.0
+    kinetic = 2.0 * (vx * vx + vy * vy)
+    for xo, yo, r2 in obstacles:
+        dx, dy = x - xo, y - yo
+        Bdot = 2.0 * (dx * vx + dy * vy)
+        B1 = Bdot + g1 * (dx * dx + dy * dy - r2)
+        yield 2.0 * dx, 2.0 * dy, g1 * Bdot + kinetic + g2 * B1 + 2.0 * (dx * mu1 + dy * mu2)
+
+
 def kbf_check(z: State, u: Control, o: Obstacle, r: float, cbf: CbfParams) -> bool:
     """Nominal gate: True (pass) iff the barrier condition holds at (z, u)."""
     return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],

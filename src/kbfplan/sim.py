@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .core import Control, PlanResult, Scenario, State, combined_radius, gate_obstacles
-from .control import InfeasibleSafety, clf_cbf_qp_control, clf_terms, solve_lyapunov
+from .control import (InfeasibleSafety, clf_cbf_qp_control, clf_terms, safety_qp,
+                      solve_lyapunov)
 from .dynamics import integrate_step, io_linearize, tracking_error
 from .qp import ActiveSetQp
 from .safety import barrier_value
@@ -110,14 +111,6 @@ class _PlanReference:
         return pos, vel, acc
 
 
-def check_budget(dt_ctrl: float, time_budget: float) -> None:
-    """ValueError unless 0 < dt_ctrl < inf and 0 <= time_budget <= MAX_TICKS * dt_ctrl."""
-    if not 0.0 < dt_ctrl < math.inf:
-        raise ValueError(f"dt_ctrl must be positive and finite, got {dt_ctrl}")
-    if not 0.0 <= time_budget <= MAX_TICKS * dt_ctrl:
-        raise ValueError(f"time_budget {time_budget} is not in [0, MAX_TICKS * dt_ctrl]")
-
-
 def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
                 perceived_obstacles=None, time_budget: float | None = None) -> Trajectory:
     """Track a plan with the safety-filtered QP controller on the true plant.
@@ -127,16 +120,20 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
     Terminates when the plant enters the goal region. Raises
     ControllerInfeasible if the safety QP fails and TimeBudgetExceeded when
     the budget (plan duration + BUDGET_MARGIN by default) runs out; both carry
-    the partial trajectory. Raises ValueError as check_budget does.
+    the partial trajectory. Raises ValueError for a bad dt_ctrl or time_budget.
     """
     ref = _PlanReference(plan, (s.goal.x, s.goal.y))
     if time_budget is None:
         time_budget = ref.duration + BUDGET_MARGIN
-    check_budget(dt_ctrl, time_budget)
+    if not 0.0 < dt_ctrl < math.inf:
+        raise ValueError(f"dt_ctrl must be positive and finite, got {dt_ctrl}")
+    if not 0.0 <= time_budget <= MAX_TICKS * dt_ctrl:
+        raise ValueError(f"time_budget {time_budget} is not in [0, MAX_TICKS * dt_ctrl]")
     obs = gate_obstacles(s.obstacles if perceived_obstacles is None else perceived_obstacles,
                          s.robot)
     data = solve_lyapunov(s.clf)
     solver = ActiveSetQp()
+    prob = safety_qp(data, len(obs))
     true_obs = [(o, combined_radius(o, s.robot)) for o in s.obstacles]
     tol2 = s.planner.goal_tolerance ** 2
     gx, gy = s.goal.x, s.goal.y
@@ -161,7 +158,7 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
             raise TimeBudgetExceeded(t, Trajectory(tuple(samples)))
 
         try:
-            mu_e, slack, V = clf_cbf_qp_control(z, e, obs, s.cbf, s.clf, data, solver,
+            mu_e, slack, V = clf_cbf_qp_control(z, e, obs, s.cbf, s.clf, data, solver, prob,
                                                 mu_rm=acc)
         except InfeasibleSafety as exc:
             raise ControllerInfeasible(t, Trajectory(tuple(samples))) from exc

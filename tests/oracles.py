@@ -16,8 +16,7 @@ from kbfplan.control import InfeasibleSafety, clf_terms, solve_lyapunov
 from kbfplan.core import Control, PlanResult, State, Waypoint, combined_radius
 from kbfplan.dynamics import integrate_step, io_linearize, tracking_error
 from kbfplan.planners import NoPath
-from kbfplan.qp import ActiveSetQp, QpProblem, QpStatus
-from kbfplan.safety import barrier_value, gate_value
+from kbfplan.safety import barrier_value
 from kbfplan.sim import (DT_CTRL_DEFAULT, ControllerInfeasible, TimeBudgetExceeded, Trajectory,
                          TrajectorySample, _PlanReference)
 
@@ -270,17 +269,87 @@ def reference_plan_kbf(s, rng, bounds=None, trace=None):
 
 
 # ---------------------------------------------------------------------------
-# Reference follower tick that redoes all per-tick work in numpy: a fresh
-# np.diag Hessian each tick, a QP problem whose H passes np.allclose, numpy
-# reductions on the solver's warm-start path, numpy-indexed PD gains and
-# combined_radius per obstacle. follow_path must reproduce it bit for bit.
+# Reference follower tick, frozen from before the follower's QP was set up
+# once per follow: a fresh np.diag Hessian and fresh row arrays each tick, an
+# np.allclose symmetry check, numpy-indexed PD gains, combined_radius per
+# obstacle, the zero-control barrier value written out per obstacle, and the
+# dual active-set solver with its objective computed on every solve and
+# np.any tests on the warm-start path. follow_path and the rrt-cbf-qp planner
+# must reproduce it bit for bit.
 # ---------------------------------------------------------------------------
 
-class ReferenceQp(ActiveSetQp):
-    """ActiveSetQp whose warm-start path tests its KKT point with np.any."""
+class ReferenceQp:
+    """Frozen dual active-set solver: solve(H, f, A, b) -> x, or None on failure."""
 
-    def _solve_working_set(self, prob, W):
-        H, f, A, b = prob.H, prob.f, prob.A_ineq, prob.b_ineq
+    def __init__(self, max_iter=100):
+        self.max_iter = max_iter
+        self._warm = ()
+
+    def solve(self, H, f, A, b):
+        m = A.shape[0]
+        if m and self._warm and all(i < m for i in self._warm):
+            warm = self._solve_working_set(H, f, A, b, self._warm)
+            if warm is not None:
+                return warm
+        x = np.linalg.solve(H, -f)
+        if m == 0:
+            return self._optimal(x, [], [])
+        W, lam, changes = [], [], 0
+        while True:
+            viol = A @ x - b
+            p = -1
+            worst = 1e-10
+            for i in range(m):
+                if viol[i] > worst and i not in W:
+                    worst = viol[i]
+                    p = i
+            if p < 0:
+                return self._optimal(x, W, lam)
+            n_p = -A[p]
+            lam_p = 0.0
+            while True:
+                if changes >= self.max_iter:
+                    return None
+                hn = np.linalg.solve(H, n_p)
+                if W:
+                    N = -A[W].T
+                    HN = np.linalg.solve(H, N)
+                    r = np.linalg.solve(N.T @ HN, N.T @ hn)
+                    z = hn - HN @ r
+                else:
+                    r = np.zeros(0)
+                    z = hn
+                zn = float(n_p @ z)
+                s_p = float(n_p @ x) + b[p]
+                step_add = -s_p / zn if zn > 1e-12 else math.inf
+                step_drop = math.inf
+                k_drop = -1
+                for j in range(len(W)):
+                    rj = float(r[j])
+                    if rj > 1e-12:
+                        ratio = lam[j] / rj
+                        if ratio < step_drop:
+                            step_drop = ratio
+                            k_drop = j
+                step = step_add if step_add < step_drop else step_drop
+                if step == math.inf:
+                    return None
+                for j in range(len(W)):
+                    lam[j] -= step * float(r[j])
+                lam_p += step
+                if step_add <= step_drop:
+                    x = x + step_add * z
+                    W.append(p)
+                    lam.append(lam_p)
+                    changes += 1
+                    break
+                if step_add < math.inf:
+                    x = x + step * z
+                del W[k_drop]
+                del lam[k_drop]
+                changes += 1
+
+    def _solve_working_set(self, H, f, A, b, W):
         n = f.shape[0]
         idx = list(W)
         Aw = A[idx]
@@ -300,7 +369,28 @@ class ReferenceQp(ActiveSetQp):
             return None
         if np.any(A @ x - b > 1e-10):
             return None
-        return self._optimal(prob, x, idx, [max(0.0, float(v)) for v in mult], 0)
+        return self._optimal(x, idx, [max(0.0, float(v)) for v in mult])
+
+    def _optimal(self, x, W, lam):
+        self._warm = tuple(i for i, _ in sorted(zip(W, lam)))
+        return x
+
+
+def reference_barrier_condition(z, ox, oy, r, cbf):
+    """A + b mu at zero control, mu = 0 written out with its signed zeros."""
+    sin_t = math.sin(z.theta)
+    cos_t = math.cos(z.theta)
+    vx = z.v * cos_t
+    vy = z.v * sin_t
+    v2 = z.v * z.v
+    mu1 = -v2 * sin_t * 0.0 + cos_t * 0.0
+    mu2 = v2 * cos_t * 0.0 + sin_t * 0.0
+    dx = z.x - ox
+    dy = z.y - oy
+    Bdot = 2.0 * (dx * vx + dy * vy)
+    B1 = Bdot + cbf.gamma1 * (dx * dx + dy * dy - r * r)
+    A = cbf.gamma1 * Bdot + 2.0 * (vx * vx + vy * vy) + cbf.gamma2 * B1
+    return A + 2.0 * (dx * mu1 + dy * mu2)
 
 
 def reference_qp_control(z, e, obstacles, robot, cbf, clf, d, solver, mu_rm=(0.0, 0.0)):
@@ -314,9 +404,7 @@ def reference_qp_control(z, e, obstacles, robot, cbf, clf, d, solver, mu_rm=(0.0
     rows = [[LgV[0], LgV[1], -1.0], [0.0, 0.0, -1.0]]
     rhs = [-LfV - eqe, 0.0]
     for o in obstacles:
-        r = combined_radius(o, robot)
-        A_val = gate_value(z.x, z.y, z.theta, z.v, 0.0, 0.0, [(o.x, o.y, r * r)],
-                           cbf.gamma1, cbf.gamma2)
+        A_val = reference_barrier_condition(z, o.x, o.y, combined_radius(o, robot), cbf)
         bx = 2.0 * (z.x - o.x)
         by = 2.0 * (z.y - o.y)
         rows.append([bx, by, 0.0])
@@ -324,11 +412,11 @@ def reference_qp_control(z, e, obstacles, robot, cbf, clf, d, solver, mu_rm=(0.0
     H = np.diag([2.0, 2.0, 2.0 * clf.penalty])
     if not np.allclose(H, H.T, atol=1e-12, rtol=0.0):
         raise ValueError("H must be symmetric")
-    sol = solver.solve(QpProblem(H=H, f=np.array([-2.0 * mu_pd[0], -2.0 * mu_pd[1], 0.0]),
-                                 A_ineq=np.array(rows), b_ineq=np.array(rhs)))
-    if sol.status is not QpStatus.OPTIMAL:
-        raise InfeasibleSafety(sol.status.value)
-    return (float(sol.x[0]), float(sol.x[1])), max(0.0, float(sol.x[2])), V
+    x = solver.solve(H, np.array([-2.0 * mu_pd[0], -2.0 * mu_pd[1], 0.0]),
+                        np.array(rows), np.array(rhs))
+    if x is None:
+        raise InfeasibleSafety("reference QP found no solution")
+    return (float(x[0]), float(x[1])), max(0.0, float(x[2])), V
 
 
 def reference_follow_path(plan, s, perceived_obstacles=None):

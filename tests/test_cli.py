@@ -299,7 +299,11 @@ def test_main_simulate_rejects_a_short_period_before_planning(monkeypatch, capsy
 
     monkeypatch.setattr(cli, "plan", counted)
     assert main(["simulate", "--scenario", "scenario1", "--dt-ctrl", "1e-7"]) == 2
-    assert "MAX_TICKS" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "MAX_TICKS" in err
+    # the message names the option and its floor, not a budget the user never set
+    assert "--dt-ctrl must be finite and at least BUDGET_MARGIN / MAX_TICKS = 1e-05 s" in err
+    assert "got 1e-07" in err and "time_budget" not in err
     assert calls == []
 
 

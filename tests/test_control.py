@@ -8,7 +8,7 @@ from oracles import reference_condition
 from kbfplan.core import (CbfParams, ClfParams, Control, Obstacle, RobotParams, State,
                           combined_radius, gate_obstacles)
 from kbfplan.control import (InfeasibleSafety, NotHurwitz, clf_cbf_qp_control,
-                             clf_terms, solve_lyapunov)
+                             clf_terms, safety_qp, solve_lyapunov)
 from kbfplan.dynamics import pd_control, tracking_error
 from kbfplan.qp import ActiveSetQp
 
@@ -16,13 +16,18 @@ ROBOT = RobotParams()
 CBF = CbfParams(1.0, 1.0)
 
 
+def qp_control(z, e, obstacles, cbf, clf, d, solver):
+    """clf_cbf_qp_control on a problem set up for this one call."""
+    return clf_cbf_qp_control(z, e, obstacles, cbf, clf, d, solver,
+                              safety_qp(d, len(obstacles)))
+
+
 def tracking_qp(e, d, clf):
     """clf_cbf_qp_control with no obstacles, at the error e.
 
     With no obstacles the plant state enters only through e.
     """
-    mu, _, _ = clf_cbf_qp_control(State(0.0, 0.0, 0.0, 0.0), tuple(e), (), CBF,
-                                  clf, d, ActiveSetQp())
+    mu, _, _ = qp_control(State(0.0, 0.0, 0.0, 0.0), tuple(e), (), CBF, clf, d, ActiveSetQp())
     return mu
 
 
@@ -93,7 +98,7 @@ def test_clf_qp_zero_error():
         z = State(rng.uniform(-5, 5), rng.uniform(-5, 5),
                   rng.uniform(-math.pi, math.pi), rng.uniform(0, 1.2))
         e = tracking_error(z, (z.x, z.y), (z.v * math.cos(z.theta), z.v * math.sin(z.theta)))
-        mu, slack, V = clf_cbf_qp_control(z, e, (), CBF, clf, d, ActiveSetQp())
+        mu, slack, V = qp_control(z, e, (), CBF, clf, d, ActiveSetQp())
         assert mu == pytest.approx((0.0, 0.0), abs=1e-12)
         assert slack == 0.0
         assert V == clf_terms(e, d)[0]
@@ -150,7 +155,7 @@ def test_clf_cbf_qp_zero_error_no_obstacles():
     d = solve_lyapunov(clf)
     z = State(0, 0, 0, 1.0)
     e = tracking_error(z, (0.0, 0.0), (1.0, 0.0))
-    mu, slack, _ = clf_cbf_qp_control(z, e, (), CBF, clf, d, ActiveSetQp())
+    mu, slack, _ = qp_control(z, e, (), CBF, clf, d, ActiveSetQp())
     assert mu == pytest.approx((0.0, 0.0), abs=1e-10)
     assert slack == pytest.approx(0.0, abs=1e-10)
 
@@ -165,9 +170,9 @@ def test_clf_cbf_qp_distant_obstacle_matches_clf_qp():
                   rng.uniform(-math.pi, math.pi), rng.uniform(0, 1.2))
         e = tracking_error(z, (rng.uniform(-2, 2), rng.uniform(-2, 2)),
                            (rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        mu_cbf, _, _ = clf_cbf_qp_control(z, e, gate_obstacles((far,), ROBOT), CBF, clf, d,
-                                          ActiveSetQp())
-        mu_clf, _, _ = clf_cbf_qp_control(z, e, (), CBF, clf, d, ActiveSetQp())
+        mu_cbf, _, _ = qp_control(z, e, gate_obstacles((far,), ROBOT), CBF, clf, d,
+                                  ActiveSetQp())
+        mu_clf, _, _ = qp_control(z, e, (), CBF, clf, d, ActiveSetQp())
         assert np.allclose(mu_cbf, mu_clf, atol=1e-9)
 
 
@@ -185,8 +190,8 @@ def test_clf_cbf_qp_barrier_rows_hold_near_obstacle():
                   rng.uniform(-math.pi, math.pi), rng.uniform(0, 1.2))
         e = tracking_error(z, (o.x, o.y), (0.0, 0.0))  # reference pulls into the obstacle
         try:
-            mu_e, slack, _ = clf_cbf_qp_control(z, e, gate_obstacles((o,), ROBOT), CBF, clf, d,
-                                                ActiveSetQp())
+            mu_e, slack, _ = qp_control(z, e, gate_obstacles((o,), ROBOT), CBF, clf, d,
+                                        ActiveSetQp())
         except InfeasibleSafety:
             continue
         assert slack >= 0.0
@@ -204,8 +209,8 @@ def test_clf_cbf_qp_penalty_monotone_in_slack():
     for penalty in (1e1, 1e2, 1e3, 1e4):
         clf = ClfParams(penalty=penalty)
         data = solve_lyapunov(clf)
-        _, slack, _ = clf_cbf_qp_control(z, e, gate_obstacles((o,), ROBOT), CBF, clf, data,
-                                         ActiveSetQp())
+        _, slack, _ = qp_control(z, e, gate_obstacles((o,), ROBOT), CBF, clf, data,
+                                 ActiveSetQp())
         if d_prev is not None:
             assert slack <= d_prev + 1e-9
         d_prev = slack
@@ -219,5 +224,5 @@ def test_clf_cbf_qp_infeasible_raises():
     z = State(0.0, 0.0, 0.0, 0.0)
     obstacles = (Obstacle(0.9, 0.0, 0.8), Obstacle(-0.9, 0.0, 0.8))
     with pytest.raises(InfeasibleSafety):
-        clf_cbf_qp_control(z, (0.0, 0.0, 0.0, 0.0), gate_obstacles(obstacles, ROBOT), CBF,
-                           clf, d, ActiveSetQp())
+        qp_control(z, (0.0, 0.0, 0.0, 0.0), gate_obstacles(obstacles, ROBOT), CBF,
+                   clf, d, ActiveSetQp())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,61 @@ def test_problem_shape_validation():
     for H in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
         with pytest.raises(ValueError, match="symmetric"):
             QpProblem(H, [0.0, 0.0], np.zeros((0, 2)), [])
+
+
+NAN = float("nan")
+CONTROLLER_H = np.diag([2.0, 2.0, 2000.0])
+
+
+@pytest.mark.parametrize("f, A, b", [
+    ([-1.0, -1.0, 0.0], [[1.0, 0.0, 0.0], [NAN, 0.0, 0.0]], [0.1, 0.0]),  # NaN row
+    ([-1.0, -1.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.1, NAN]),  # NaN bound
+    ([-1.0, NAN, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.1, 0.0]),   # NaN cost
+    ([-1.0, NAN, 0.0], np.zeros((0, 3)), []),                             # ... unconstrained
+])
+def test_nan_fails_closed(f, A, b):
+    sol = ActiveSetQp().solve(QpProblem(CONTROLLER_H, f, A, b))
+    assert sol.status is QpStatus.INFEASIBLE
+    assert sol.x is None and math.isnan(sol.objective)
+
+
+def test_nan_fails_closed_on_the_warm_path():
+    solver = ActiveSetQp()
+    A = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert solver.solve(QpProblem(CONTROLLER_H, [-1.0, -1.0, 0.0], A, [0.1, 0.2])).active_set \
+        == (0, 1)
+    # the retained working set is tried first; its KKT point must not hide a NaN
+    for b in ([0.1, NAN], [NAN, 0.2]):
+        assert solver.solve(QpProblem(CONTROLLER_H, [-1.0, -1.0, 0.0], A, b)).status \
+            is QpStatus.INFEASIBLE
+
+
+def test_reused_problem_matches_fresh_problems():
+    # one problem rewritten in place, as the follower does each tick, gives the
+    # same solutions, warm sets and objectives as a fresh problem per solve,
+    # and each objective is the one of the problem as it was solved
+    rng = np.random.default_rng(53)
+    reused_solver, fresh_solver = ActiveSetQp(), ActiveSetQp()
+    H, f, A, b = random_qp(rng, n_max=3, m_max=4)
+    while len(f) != 3 or len(b) != 4:
+        H, f, A, b = random_qp(rng, n_max=3, m_max=4)
+    prob = QpProblem(H, np.zeros(3), np.zeros((4, 3)), np.zeros(4))
+    pairs = []
+    warm_hits = 0
+    for _ in range(300):
+        f = f + rng.normal(scale=0.1, size=3)
+        A = A + rng.normal(scale=0.02, size=(4, 3))
+        b = b + rng.normal(scale=0.1, size=4)
+        prob.f[:], prob.A_ineq[:], prob.b_ineq[:] = f, A, b
+        reused = reused_solver.solve(prob)
+        fresh = fresh_solver.solve(QpProblem(H, f, A, b))
+        assert reused_solver._warm == fresh_solver._warm
+        assert (reused.status, reused.active_set, reused.multipliers, reused.iterations) == \
+            (fresh.status, fresh.active_set, fresh.multipliers, fresh.iterations)
+        if fresh.x is not None:
+            assert np.array_equal(reused.x, fresh.x)
+            warm_hits += fresh.iterations == 0 and fresh.active_set != ()
+        pairs.append((reused, fresh))
+    assert warm_hits > 10
+    for reused, fresh in pairs:
+        assert reused.objective == fresh.objective or math.isnan(fresh.objective)

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_condition, robust_worst_grid
 
 from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
                           RobotParams, Scenario, State, UncertaintyBounds)
 from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_kbf
-from kbfplan.safety import barrier_value, gate_value, kbf_check, robust_worst_value
+from kbfplan.safety import (barrier_rows, barrier_value, gate_value, kbf_check,
+                            robust_worst_value)
 
 CBF = CbfParams(1.0, 1.0)
 ROBOT = RobotParams()
@@ -227,3 +230,36 @@ def test_sample_control_deterministic():
         plan_rrt_kbf(s, np.random.default_rng(10), traces[2])
     assert traces[0] == traces[1]
     assert traces[0] != traces[2]
+
+
+def same_float(a, b):
+    """Bit-level equality up to NaN payload: equal values with equal signs, or both NaN."""
+    if a != a or b != b:
+        return a != a and b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+OBSTACLE = st.tuples(COORD, COORD, st.floats(0.0, 4.0), st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=COORD, y=COORD, theta=st.floats(-4.0, 4.0),
+       v=st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf]), st.floats(-1.5, 1.5)),
+       nan_at=st.sampled_from(["none", "x", "y", "theta"]),
+       obstacles=st.lists(OBSTACLE, max_size=6),
+       g1=st.floats(0.1, 5.0), g2=st.floats(0.1, 5.0))
+def test_barrier_rows_match_the_zero_control_gate(x, y, theta, v, nan_at, obstacles, g1, g2):
+    # one pass over the obstacles gives, per obstacle, exactly the gate's value
+    # at c = a = 0 and the row normal 2 (z - o); on_edge puts the state on the
+    # inflated circle, and an infinite speed makes the zero-control term NaN
+    if nan_at != "none":
+        x, y, theta = [math.nan if nan_at == k else val
+                       for k, val in (("x", x), ("y", y), ("theta", theta))]
+    obs = [(xo, yo, (x - xo) ** 2 + (y - yo) ** 2 if on_edge else r2)
+           for xo, yo, r2, on_edge in obstacles]
+    rows = list(barrier_rows(x, y, theta, v, obs, g1, g2))
+    assert len(rows) == len(obs)
+    for (bx, by, value), ob in zip(rows, obs):
+        assert same_float(value, gate_value(x, y, theta, v, 0.0, 0.0, [ob], g1, g2))
+        assert same_float(bx, 2.0 * (x - ob[0])) and same_float(by, 2.0 * (y - ob[1]))

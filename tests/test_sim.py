@@ -178,7 +178,7 @@ def test_cbf_qp_planner_matches_frozen_tick(monkeypatch):
         s = load_bundled_scenario(name)
         solver = ReferenceQp()
 
-        def frozen(z, e, _obstacles, cbf, clf, d, _solver, mu_rm=(0.0, 0.0)):
+        def frozen(z, e, _obstacles, cbf, clf, d, _solver, _prob, mu_rm=(0.0, 0.0)):
             return reference_qp_control(z, e, s.obstacles, s.robot, cbf, clf, d, solver, mu_rm)
 
         shipped = plan_rrt_cbf_qp(s, np.random.default_rng(0))
@@ -189,6 +189,14 @@ def test_cbf_qp_planner_matches_frozen_tick(monkeypatch):
         assert shipped.tree_nodes == reference.tree_nodes
         assert shipped.tree_edges == reference.tree_edges
         assert shipped.iterations_used == reference.iterations_used
+
+
+def test_nan_obstacle_row_fails_closed():
+    # a NaN barrier row must fail the tick, not pass as satisfied
+    plan, scenario = straight_line_setup()
+    with pytest.raises(ControllerInfeasible) as exc:
+        follow_path(plan, scenario, perceived_obstacles=(Obstacle(math.nan, 1.0, 0.2),))
+    assert exc.value.t == 0.0 and exc.value.trajectory.samples == ()
 
 
 def test_min_barrier_no_obstacles():
