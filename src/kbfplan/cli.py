@@ -16,7 +16,7 @@ import statistics
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -93,9 +93,7 @@ def inject_perception_error(s: Scenario, pos_err: float, radius_err: float,
             r = 0.01
         perturbed.append(Obstacle(o.x + pos_err * math.cos(phi),
                                   o.y + pos_err * math.sin(phi), r))
-    return Scenario(start=s.start, goal=s.goal, obstacles=tuple(perturbed),
-                    bounds=s.bounds, robot=s.robot, cbf=s.cbf, clf=s.clf,
-                    planner=s.planner)
+    return replace(s, obstacles=tuple(perturbed))
 
 
 # ---------------------------------------------------------------------------

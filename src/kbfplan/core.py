@@ -319,6 +319,8 @@ def _numbers(d: Any, allowed: Collection[str], where: str, required: Collection[
 
 def _state_from_dict(d: Any, where: str) -> State:
     f = _numbers(d, _STATE_KEYS, where, ("x", "y"))
+    if not math.isfinite(f.get("theta", 0.0)):  # State keeps NaN and raises on inf
+        raise ParseError(f"{where}.theta must be finite, got {f['theta']}")
     return State(f["x"], f["y"], f.get("theta", 0.0), f.get("v", 0.0))
 
 

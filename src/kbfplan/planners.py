@@ -1,13 +1,15 @@
 """Tree-search planners: geometric, barrier-gated kinodynamic, and QP-steered.
 
-`rrt` and `rrt-cbf-qp` grow a `Tree` of `State` objects with a nearest-neighbor
-index. The barrier-gated planners (`rrt-kbf`, `robust-rrt-kbf`) draw their
-parent uniformly instead, so they keep flat lists of (x, y, theta, v) tuples
-and build `State` objects only for the returned path. Every planner is a
-deterministic function of (scenario, rng): a seeded generator reproduces the
-run bit for bit. The barrier-gated ones draw as scalar `rng.integers`/`uniform`
-calls would, final rng state included, from raw PCG64, PCG64DXSM, Philox or
-SFC64 words.
+All four planners grow the same flat `Tree` of (x, y, theta, v) tuples and
+build `State` objects only for the returned path (`_plan`). `rrt` and
+`rrt-cbf-qp` share one sample -> nearest -> steer -> append loop (`_grow`)
+and differ only in their steer step. The barrier-gated planners (`rrt-kbf`,
+`robust-rrt-kbf`) draw their parent uniformly instead, so their loop appends
+to the tree's lists inline and never asks for a nearest node. Every planner
+is a deterministic function of (scenario, rng): a seeded generator reproduces
+the run bit for bit. The barrier-gated ones draw as scalar
+`rng.integers`/`uniform` calls would, final rng state included, from raw
+PCG64, PCG64DXSM, Philox or SFC64 words.
 """
 
 from __future__ import annotations
@@ -34,51 +36,63 @@ class NoPath(RuntimeError):
 
 
 class Tree:
-    """Append-only search tree over vehicle states.
+    """Append-only search tree over (x, y, theta, v) node tuples.
 
-    Node 0 is the root (no parent); children always have larger indices than
-    their parent, so the structure is acyclic by construction. Planar
-    positions are mirrored into a growing array used as the nearest-neighbor
-    index (vectorized scan; plenty fast at the tree sizes seen here).
+    Node 0 is the root (parent -1); a child always has a larger index than
+    its parent, so the tree is acyclic by construction. controls[i] is the
+    (c, a) held on the edge into node i, or None at the root and on straight
+    geometric edges. nearest() copies the positions appended since its last
+    call into a growing numpy buffer and scans it, so appends stay plain list
+    operations.
     """
 
     def __init__(self, root: State):
-        self.states: list[State] = [root]
-        self.parents: list[int] = [-1]
-        self.controls: list[Control | None] = [None]
+        self.nodes = [(root.x, root.y, root.theta, root.v)]
+        self.parents = [-1]
+        self.controls: list[tuple[float, float] | None] = [None]
         self._xy = np.empty((128, 2))
-        self._xy[0, 0] = root.x
-        self._xy[0, 1] = root.y
+        self._synced = 0
 
-    def add(self, state: State, parent: int, control: Control | None) -> int:
-        idx = len(self.states)
-        if idx == self._xy.shape[0]:
-            self._xy = np.concatenate((self._xy, np.empty_like(self._xy)))
-        self._xy[idx, 0] = state.x
-        self._xy[idx, 1] = state.y
-        self.states.append(state)
+    def add(self, node: tuple, parent: int, control: tuple[float, float] | None) -> int:
+        self.nodes.append(node)
         self.parents.append(parent)
         self.controls.append(control)
-        return idx
+        return len(self.nodes) - 1
 
     def nearest(self, qx: float, qy: float) -> int:
-        pts = self._xy[: len(self.states)]
+        n = len(self.nodes)
+        if self._synced < n:
+            while n > self._xy.shape[0]:
+                self._xy = np.concatenate((self._xy, np.empty_like(self._xy)))
+            self._xy[self._synced:n] = [node[:2] for node in self.nodes[self._synced:n]]
+            self._synced = n
+        pts = self._xy[:n]
         d2 = (pts[:, 0] - qx) ** 2 + (pts[:, 1] - qy) ** 2
         return int(np.argmin(d2))  # argmin keeps the lowest index on ties
 
 
-def _path_indices(parents: list[int], leaf: int) -> list[int]:
-    """Node indices from the root to leaf."""
-    chain = []
-    while leaf >= 0:
-        chain.append(leaf)
-        leaf = parents[leaf]
+def _plan(tree: Tree, leaf: int, iterations: int, started: float,
+          dt: float | None = None, v_nom: float | None = None) -> PlanResult:
+    """The plan along root..leaf. Waypoint k is at time k * dt, or, with dt
+    None, at the path length up to it over v_nom."""
+    chain = [leaf]
+    while chain[-1]:
+        chain.append(tree.parents[chain[-1]])
     chain.reverse()
-    return chain
-
-
-def _edges(parents: list[int]) -> tuple[tuple[int, int], ...]:
-    return tuple((parents[i], i) for i in range(1, len(parents)))
+    nodes, controls = tree.nodes, tree.controls
+    waypoints = []
+    t = 0.0
+    for k, i in enumerate(chain):
+        if dt is not None:
+            t = k * dt
+        elif k:
+            prev = nodes[chain[k - 1]]
+            t += math.hypot(nodes[i][0] - prev[0], nodes[i][1] - prev[1]) / v_nom
+        u = controls[chain[k + 1]] if k + 1 < len(chain) else None
+        waypoints.append(Waypoint(t, State(*nodes[i]), None if u is None else Control(*u)))
+    return PlanResult(tuple(waypoints), tuple((n[0], n[1]) for n in nodes),
+                      tuple(zip(tree.parents[1:], range(1, len(nodes)))), iterations,
+                      time.perf_counter() - started)
 
 
 def point_segment_distance(px: float, py: float, ax: float, ay: float,
@@ -101,23 +115,44 @@ def segment_collision(p0: tuple[float, float], p1: tuple[float, float],
                       obstacles, radii) -> bool:
     """True iff the closed segment comes strictly closer than the combined
     radius to any obstacle center (touching the boundary is safe)."""
-    for o, r in zip(obstacles, radii):
-        if point_segment_distance(o.x, o.y, p0[0], p0[1], p1[0], p1[1]) < r:
-            return True
-    return False
+    return any(point_segment_distance(o.x, o.y, p0[0], p0[1], p1[0], p1[1]) < r
+               for o, r in zip(obstacles, radii))
 
 
-def _trivial_plan(s: Scenario, started: float, iterations: int) -> PlanResult:
-    wp = Waypoint(0.0, s.start, None)
-    return PlanResult((wp,), ((s.start.x, s.start.y),), (), iterations,
-                      time.perf_counter() - started)
-
-
-def _goal_reached(state: State, s: Scenario) -> bool:
-    dx = state.x - s.goal.x
-    dy = state.y - s.goal.y
+def _goal_reached(x: float, y: float, s: Scenario) -> bool:
+    dx = x - s.goal.x
+    dy = y - s.goal.y
     tol = s.planner.goal_tolerance
     return dx * dx + dy * dy <= tol * tol
+
+
+def _grow(s: Scenario, rng: np.random.Generator, steer, started: float,
+          **clock) -> PlanResult:
+    """The sample -> nearest -> steer -> append loop of rrt and rrt-cbf-qp
+    (LaValle & Kuffner's RRT skeleton).
+
+    Each iteration draws a point uniformly in the workspace and passes the
+    nearest node and the point to steer(node, qx, qy), which returns the
+    (node, control) chain to append below that node, or None. A chain ends
+    at its first node in the goal region, and the plan ends with it. clock
+    sets the waypoint times, as in _plan.
+    """
+    tree = Tree(s.start)
+    if _goal_reached(s.start.x, s.start.y, s):
+        return _plan(tree, 0, 0, started, **clock)
+    b = s.bounds
+    for it in range(1, s.planner.max_iters + 1):
+        qx = rng.uniform(b.xmin, b.xmax)
+        qy = rng.uniform(b.ymin, b.ymax)
+        i = tree.nearest(qx, qy)
+        chain = steer(tree.nodes[i], qx, qy)
+        if not chain:
+            continue
+        for node, control in chain:
+            i = tree.add(node, i, control)
+        if _goal_reached(node[0], node[1], s):
+            return _plan(tree, i, it, started, **clock)
+    raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 
 def plan_rrt(s: Scenario, rng: np.random.Generator) -> PlanResult:
@@ -130,66 +165,24 @@ def plan_rrt(s: Scenario, rng: np.random.Generator) -> PlanResult:
     followable.
     """
     started = time.perf_counter()
-    if _goal_reached(s.start, s):
-        return _trivial_plan(s, started, 0)
-    tree = Tree(s.start)
-    b = s.bounds
     step = s.planner.step_size
     radii = [combined_radius(o, s.robot) for o in s.obstacles]
-    obstacles = s.obstacles
     v_nom = 0.8 * s.robot.v_max
 
-    for it in range(1, s.planner.max_iters + 1):
-        qx = rng.uniform(b.xmin, b.xmax)
-        qy = rng.uniform(b.ymin, b.ymax)
-        i = tree.nearest(qx, qy)
-        zi = tree.states[i]
-        dx = qx - zi.x
-        dy = qy - zi.y
+    def steer(node, qx, qy):
+        x, y = node[0], node[1]
+        dx, dy = qx - x, qy - y
         dist = math.hypot(dx, dy)
         if dist < 1e-12:
-            continue
+            return None
         scale = min(step, dist) / dist
-        nx = zi.x + dx * scale
-        ny = zi.y + dy * scale
-        if segment_collision((zi.x, zi.y), (nx, ny), obstacles, radii):
-            continue
-        heading = math.atan2(ny - zi.y, nx - zi.x)
-        j = tree.add(State(nx, ny, heading, v_nom), i, None)
-        if _goal_reached(tree.states[j], s):
-            return _geometric_plan(tree, j, v_nom, it, started)
-    raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
+        nx = x + dx * scale
+        ny = y + dy * scale
+        if segment_collision((x, y), (nx, ny), s.obstacles, radii):
+            return None
+        return [((nx, ny, math.atan2(ny - y, nx - x), v_nom), None)]
 
-
-def _geometric_plan(tree: Tree, leaf: int, v_nom: float, iterations: int,
-                    started: float) -> PlanResult:
-    chain = _path_indices(tree.parents, leaf)
-    waypoints = []
-    t = 0.0
-    for k, idx in enumerate(chain):
-        z = tree.states[idx]
-        if k > 0:
-            prev = tree.states[chain[k - 1]]
-            t += math.hypot(z.x - prev.x, z.y - prev.y) / v_nom
-        waypoints.append(Waypoint(t, z, None))
-    return PlanResult(tuple(waypoints), tuple((z.x, z.y) for z in tree.states),
-                      _edges(tree.parents), iterations, time.perf_counter() - started)
-
-
-def _kbf_plan(nodes, parents, controls, leaf: int, dt: float, iterations: int,
-              started: float) -> PlanResult:
-    """Plan along the chain root..leaf of a tree whose edges hold one control.
-
-    nodes holds (x, y, theta, v) per node with theta already wrapped, and
-    controls the (c, a) held on the edge into each node.
-    """
-    chain = _path_indices(parents, leaf)
-    waypoints = []
-    for k, idx in enumerate(chain):
-        control = Control(*controls[chain[k + 1]]) if k + 1 < len(chain) else None
-        waypoints.append(Waypoint(k * dt, State(*nodes[idx]), control))
-    return PlanResult(tuple(waypoints), tuple((n[0], n[1]) for n in nodes),
-                      _edges(parents), iterations, time.perf_counter() - started)
+    return _grow(s, rng, steer, started, v_nom=v_nom)
 
 
 def block_draws(rng):
@@ -268,16 +261,14 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     """
     started = time.perf_counter()
     integers, uniform, restore = block_draws(rng)
-    if _goal_reached(s.start, s):
-        return _trivial_plan(s, started, 0)
-    z0 = s.start
-    nodes = [(z0.x, z0.y, z0.theta, z0.v)]
-    parents = [-1]
-    controls = [None]
+    tree = Tree(s.start)
+    dt = s.planner.dt
+    if _goal_reached(s.start.x, s.start.y, s):
+        return _plan(tree, 0, 0, started, dt)
+    nodes, parents, controls = tree.nodes, tree.parents, tree.controls
     robot = s.robot
     g1 = s.cbf.gamma1
     g2 = s.cbf.gamma2
-    dt = s.planner.dt
     v_max = robot.v_max
     xmin, xmax, ymin, ymax = s.bounds.xmin, s.bounds.xmax, s.bounds.ymin, s.bounds.ymax
     gx, gy = s.goal.x, s.goal.y
@@ -309,7 +300,7 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
             ddx = nx - gx
             ddy = ny - gy
             if ddx * ddx + ddy * ddy <= tol2:
-                return _kbf_plan(nodes, parents, controls, len(nodes) - 1, dt, it, started)
+                return _plan(tree, len(nodes) - 1, it, started, dt)
         raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
     finally:
         restore()
@@ -335,12 +326,8 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
     reconstruction choices, reported with benchmark output.
     """
     started = time.perf_counter()
-    if _goal_reached(s.start, s):
-        return _trivial_plan(s, started, 0)
-    tree = Tree(s.start)
     robot = s.robot
     dt_sub = s.planner.dt / 10.0
-    max_ticks = 10 * K_SIM
     b = s.bounds
     radii = [combined_radius(o, s.robot) for o in s.obstacles]
     obs = gate_obstacles(s.obstacles, robot)
@@ -350,24 +337,15 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
     v_ref = STEER_SPEED_FRAC * robot.v_max
     tol2 = SAMPLE_TOLERANCE * SAMPLE_TOLERANCE
 
-    for it in range(1, s.planner.max_iters + 1):
-        qx = rng.uniform(b.xmin, b.xmax)
-        qy = rng.uniform(b.ymin, b.ymax)
-        i = tree.nearest(qx, qy)
-        z0 = tree.states[i]
-        dx = qx - z0.x
-        dy = qy - z0.y
+    def steer(node, qx, qy):
+        z = z0 = State(*node)
+        dx, dy = qx - z0.x, qy - z0.y
         dist = math.hypot(dx, dy)
         if dist < 1e-9:
-            continue
-        ux = dx / dist
-        uy = dy / dist
-
-        chain: list[tuple[State, Control]] = []
-        z = z0
-        ok = True
-        reached = False
-        for k in range(1, max_ticks + 1):
+            return None
+        ux, uy = dx / dist, dy / dist
+        chain = []
+        for k in range(1, 10 * K_SIM + 1):
             adv = min(v_ref * k * dt_sub, dist)
             ref_pos = (z0.x + ux * adv, z0.y + uy * adv)
             ref_vel = (0.0, 0.0) if adv >= dist else (ux * v_ref, uy * v_ref)
@@ -375,30 +353,18 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
                 mu_e, _, _ = clf_cbf_qp_control(z, tracking_error(z, ref_pos, ref_vel),
                                                 obs, s.cbf, s.clf, data, solver, prob)
             except InfeasibleSafety:
-                ok = False
-                break
+                return None
             u = io_linearize(z, (-mu_e[0], -mu_e[1]), robot)
             z = integrate_step(z, u, dt_sub, robot)
             if not b.contains(z.x, z.y) or any(
                     barrier_value(z, o, r) < 0.0 for o, r in zip(s.obstacles, radii)):
-                ok = False
-                break
-            chain.append((z, u))
-            if _goal_reached(z, s):
-                reached = True
-                break
-            if (z.x - qx) ** 2 + (z.y - qy) ** 2 <= tol2:
-                break  # sample reached; extension complete
-        if not ok or not chain:
-            continue
-        parent = i
-        for zs, us in chain:
-            parent = tree.add(zs, parent, us)
-        if reached:
-            nodes = [(z.x, z.y, z.theta, z.v) for z in tree.states]
-            controls = [None] + [(u.c, u.a) for u in tree.controls[1:]]
-            return _kbf_plan(nodes, tree.parents, controls, parent, dt_sub, it, started)
-    raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
+                return None
+            chain.append(((z.x, z.y, z.theta, z.v), (u.c, u.a)))
+            if _goal_reached(z.x, z.y, s) or (z.x - qx) ** 2 + (z.y - qy) ** 2 <= tol2:
+                break  # at the goal or at the sample: extension complete
+        return chain
+
+    return _grow(s, rng, steer, started, dt=dt_sub)
 
 
 PLANNER_NAMES = ("rrt", "rrt-kbf", "robust-rrt-kbf", "rrt-cbf-qp")

@@ -123,12 +123,17 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
     the partial trajectory. Raises ValueError for a bad dt_ctrl or time_budget.
     """
     ref = _PlanReference(plan, (s.goal.x, s.goal.y))
-    if time_budget is None:
-        time_budget = ref.duration + BUDGET_MARGIN
     if not 0.0 < dt_ctrl < math.inf:
         raise ValueError(f"dt_ctrl must be positive and finite, got {dt_ctrl}")
-    if not 0.0 <= time_budget <= MAX_TICKS * dt_ctrl:
-        raise ValueError(f"time_budget {time_budget} is not in [0, MAX_TICKS * dt_ctrl]")
+    budget = ref.duration + BUDGET_MARGIN if time_budget is None else time_budget
+    if not 0.0 <= budget <= MAX_TICKS * dt_ctrl:
+        if time_budget is not None:
+            raise ValueError(f"time_budget {time_budget} is not in [0, MAX_TICKS * dt_ctrl]")
+        least = budget / MAX_TICKS  # rounded up, if need be, so that it fits
+        least = least if MAX_TICKS * least >= budget else math.nextafter(least, math.inf)
+        raise ValueError(f"dt_ctrl {dt_ctrl} is too short for the default time budget "
+                         f"{budget} s (plan duration + BUDGET_MARGIN): MAX_TICKS = "
+                         f"{MAX_TICKS} ticks need dt_ctrl >= {least}")
     obs = gate_obstacles(s.obstacles if perceived_obstacles is None else perceived_obstacles,
                          s.robot)
     data = solve_lyapunov(s.clf)
@@ -154,7 +159,7 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
             samples.append(TrajectorySample(t, z, Control(0.0, 0.0), snapshot(z),
                                             clf_terms(e, data)[0], 0.0))
             return Trajectory(tuple(samples))
-        if t > time_budget:
+        if t > budget:
             raise TimeBudgetExceeded(t, Trajectory(tuple(samples)))
 
         try:

@@ -12,10 +12,14 @@ import time
 
 import numpy as np
 
-from kbfplan.control import InfeasibleSafety, clf_terms, solve_lyapunov
-from kbfplan.core import Control, PlanResult, State, Waypoint, combined_radius
+from kbfplan.control import (InfeasibleSafety, clf_cbf_qp_control, clf_terms, safety_qp,
+                             solve_lyapunov)
+from kbfplan.core import (Control, PlanResult, State, Waypoint, combined_radius,
+                          gate_obstacles)
 from kbfplan.dynamics import integrate_step, io_linearize, tracking_error
-from kbfplan.planners import NoPath
+from kbfplan.planners import (K_SIM, SAMPLE_TOLERANCE, STEER_SPEED_FRAC, NoPath,
+                              point_segment_distance)
+from kbfplan.qp import ActiveSetQp
 from kbfplan.safety import barrier_value
 from kbfplan.sim import (DT_CTRL_DEFAULT, ControllerInfeasible, TimeBudgetExceeded, Trajectory,
                          TrajectorySample, _PlanReference)
@@ -164,18 +168,32 @@ def reference_integrate_step(z, u, dt, p):
 
 
 class ReferenceTree:
-    """Append-only tree of State objects with per-edge controls."""
+    """Append-only tree of State objects with per-edge controls, and a numpy
+    mirror of the planar positions scanned by nearest()."""
 
     def __init__(self, root):
         self.states = [root]
         self.parents = [-1]
         self.controls = [None]
+        self._xy = np.empty((128, 2))
+        self._xy[0, 0] = root.x
+        self._xy[0, 1] = root.y
 
     def add(self, state, parent, control):
+        idx = len(self.states)
+        if idx == self._xy.shape[0]:
+            self._xy = np.concatenate((self._xy, np.empty_like(self._xy)))
+        self._xy[idx, 0] = state.x
+        self._xy[idx, 1] = state.y
         self.states.append(state)
         self.parents.append(parent)
         self.controls.append(control)
-        return len(self.states) - 1
+        return idx
+
+    def nearest(self, qx, qy):
+        pts = self._xy[: len(self.states)]
+        d2 = (pts[:, 0] - qx) ** 2 + (pts[:, 1] - qy) ** 2
+        return int(np.argmin(d2))  # argmin keeps the lowest index on ties
 
     def path_indices(self, leaf):
         chain = []
@@ -186,17 +204,36 @@ class ReferenceTree:
         chain.reverse()
         return chain
 
+    def plan(self, leaf, times, iterations, started):
+        """PlanResult along root..leaf; times(chain) gives the waypoint times."""
+        chain = self.path_indices(leaf)
+        waypoints = []
+        for k, (t, idx) in enumerate(zip(times(chain), chain)):
+            control = self.controls[chain[k + 1]] if k + 1 < len(chain) else None
+            waypoints.append(Waypoint(t, self.states[idx], control))
+        return PlanResult(tuple(waypoints), tuple((z.x, z.y) for z in self.states),
+                          tuple((self.parents[n], n) for n in range(1, len(self.states))),
+                          iterations, time.perf_counter() - started)
+
+
+def _in_goal(z, s):
+    dx = z.x - s.goal.x
+    dy = z.y - s.goal.y
+    tol = s.planner.goal_tolerance
+    return dx * dx + dy * dy <= tol * tol
+
+
+def _start_plan(s, started):
+    wp = Waypoint(0.0, s.start, None)
+    return PlanResult((wp,), ((s.start.x, s.start.y),), (), 0,
+                      time.perf_counter() - started)
+
 
 def reference_plan_kbf(s, rng, bounds=None, trace=None):
     """rrt-kbf (bounds None) or robust-rrt-kbf, one State object per node."""
     started = time.perf_counter()
-    dx0 = s.start.x - s.goal.x
-    dy0 = s.start.y - s.goal.y
-    tol = s.planner.goal_tolerance
-    if dx0 * dx0 + dy0 * dy0 <= tol * tol:
-        wp = Waypoint(0.0, s.start, None)
-        return PlanResult((wp,), ((s.start.x, s.start.y),), (), 0,
-                          time.perf_counter() - started)
+    if _in_goal(s.start, s):
+        return _start_plan(s, started)
     tree = ReferenceTree(s.start)
     states = tree.states
     robot = s.robot
@@ -257,14 +294,123 @@ def reference_plan_kbf(s, rng, bounds=None, trace=None):
         ddx = z2.x - gx
         ddy = z2.y - gy
         if ddx * ddx + ddy * ddy <= tol2:
-            chain = tree.path_indices(j)
-            waypoints = []
-            for k, idx in enumerate(chain):
-                control = tree.controls[chain[k + 1]] if k + 1 < len(chain) else None
-                waypoints.append(Waypoint(k * dt, tree.states[idx], control))
-            return PlanResult(tuple(waypoints), tuple((z.x, z.y) for z in tree.states),
-                              tuple((tree.parents[n], n) for n in range(1, len(states))),
-                              it, time.perf_counter() - started)
+            return tree.plan(j, lambda chain: [k * dt for k in range(len(chain))],
+                             it, started)
+    raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
+
+
+# ---------------------------------------------------------------------------
+# Nearest-neighbour planners (rrt, rrt-cbf-qp), frozen from when they grew a
+# tree of State objects: uniform point sample, nearest node by a numpy scan,
+# then a straight step (rrt) or closed-loop QP steering (rrt-cbf-qp). The
+# steering calls the shipped controller, which the frozen-tick tests pin.
+# The shipped planners must reproduce these bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_plan_rrt(s, rng):
+    started = time.perf_counter()
+    if _in_goal(s.start, s):
+        return _start_plan(s, started)
+    tree = ReferenceTree(s.start)
+    b = s.bounds
+    step = s.planner.step_size
+    radii = [combined_radius(o, s.robot) for o in s.obstacles]
+    v_nom = 0.8 * s.robot.v_max
+
+    def times(chain):
+        ts = [0.0]
+        for prev, idx in zip(chain, chain[1:]):
+            z, p = tree.states[idx], tree.states[prev]
+            ts.append(ts[-1] + math.hypot(z.x - p.x, z.y - p.y) / v_nom)
+        return ts
+
+    for it in range(1, s.planner.max_iters + 1):
+        qx = rng.uniform(b.xmin, b.xmax)
+        qy = rng.uniform(b.ymin, b.ymax)
+        i = tree.nearest(qx, qy)
+        zi = tree.states[i]
+        dx = qx - zi.x
+        dy = qy - zi.y
+        dist = math.hypot(dx, dy)
+        if dist < 1e-12:
+            continue
+        scale = min(step, dist) / dist
+        nx = zi.x + dx * scale
+        ny = zi.y + dy * scale
+        if any(point_segment_distance(o.x, o.y, zi.x, zi.y, nx, ny) < r
+               for o, r in zip(s.obstacles, radii)):
+            continue
+        heading = math.atan2(ny - zi.y, nx - zi.x)
+        j = tree.add(State(nx, ny, heading, v_nom), i, None)
+        if _in_goal(tree.states[j], s):
+            return tree.plan(j, times, it, started)
+    raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
+
+
+def reference_plan_rrt_cbf_qp(s, rng):
+    started = time.perf_counter()
+    if _in_goal(s.start, s):
+        return _start_plan(s, started)
+    tree = ReferenceTree(s.start)
+    robot = s.robot
+    dt_sub = s.planner.dt / 10.0
+    max_ticks = 10 * K_SIM
+    b = s.bounds
+    radii = [combined_radius(o, s.robot) for o in s.obstacles]
+    obs = gate_obstacles(s.obstacles, robot)
+    data = solve_lyapunov(s.clf)
+    solver = ActiveSetQp()
+    prob = safety_qp(data, len(obs))
+    v_ref = STEER_SPEED_FRAC * robot.v_max
+    tol2 = SAMPLE_TOLERANCE * SAMPLE_TOLERANCE
+
+    for it in range(1, s.planner.max_iters + 1):
+        qx = rng.uniform(b.xmin, b.xmax)
+        qy = rng.uniform(b.ymin, b.ymax)
+        i = tree.nearest(qx, qy)
+        z0 = tree.states[i]
+        dx = qx - z0.x
+        dy = qy - z0.y
+        dist = math.hypot(dx, dy)
+        if dist < 1e-9:
+            continue
+        ux = dx / dist
+        uy = dy / dist
+
+        chain = []
+        z = z0
+        ok = True
+        reached = False
+        for k in range(1, max_ticks + 1):
+            adv = min(v_ref * k * dt_sub, dist)
+            ref_pos = (z0.x + ux * adv, z0.y + uy * adv)
+            ref_vel = (0.0, 0.0) if adv >= dist else (ux * v_ref, uy * v_ref)
+            try:
+                mu_e, _, _ = clf_cbf_qp_control(z, tracking_error(z, ref_pos, ref_vel),
+                                                obs, s.cbf, s.clf, data, solver, prob)
+            except InfeasibleSafety:
+                ok = False
+                break
+            u = io_linearize(z, (-mu_e[0], -mu_e[1]), robot)
+            z = integrate_step(z, u, dt_sub, robot)
+            if not b.contains(z.x, z.y) or any(
+                    barrier_value(z, o, r) < 0.0 for o, r in zip(s.obstacles, radii)):
+                ok = False
+                break
+            chain.append((z, u))
+            if _in_goal(z, s):
+                reached = True
+                break
+            if (z.x - qx) ** 2 + (z.y - qy) ** 2 <= tol2:
+                break
+        if not ok or not chain:
+            continue
+        parent = i
+        for zs, us in chain:
+            parent = tree.add(zs, parent, us)
+        if reached:
+            return tree.plan(parent, lambda c: [k * dt_sub for k in range(len(c))],
+                             it, started)
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 

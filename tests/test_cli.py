@@ -19,7 +19,7 @@ from kbfplan.cli import (BENCH_CSV_HEADER, bundled_scenario_names, emit_svg,
                          write_bench_csv)
 from kbfplan.core import ParseError, Scenario, UncertaintyBounds, validate_scenario
 from kbfplan.planners import plan, plan_rrt
-from kbfplan.sim import follow_path
+from kbfplan.sim import BUDGET_MARGIN, MAX_TICKS, follow_path
 
 
 MINIMAL = {
@@ -305,6 +305,30 @@ def test_main_simulate_rejects_a_short_period_before_planning(monkeypatch, capsy
     assert "--dt-ctrl must be finite and at least BUDGET_MARGIN / MAX_TICKS = 1e-05 s" in err
     assert "got 1e-07" in err and "time_budget" not in err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [["plan"], ["simulate", "--planner", "rrt"]])
+@pytest.mark.parametrize("where, theta", [("start", math.nan), ("goal", math.inf)])
+def test_main_exit_code_non_finite_heading(tmp_path, capsys, argv, where, theta):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc[where]["theta"] = theta
+    assert main(argv + ["--scenario", str(write_json(tmp_path, doc))]) == 2
+    assert f"{where}.theta must be finite" in capsys.readouterr().err
+
+
+def test_main_simulate_names_the_period_a_default_budget_needs(capsys):
+    # 1.1e-5 s passes the pre-plan floor, but the default budget (plan
+    # duration + BUDGET_MARGIN) needs more than MAX_TICKS ticks at that period
+    assert main(["simulate", "--scenario", "scenario1", "--dt-ctrl", "1.1e-5"]) == 2
+    err = capsys.readouterr().err
+    m = re.fullmatch(r"error: dt_ctrl 1\.1e-05 is too short for the default time budget "
+                     r"(\S+) s \(plan duration \+ BUDGET_MARGIN\): "
+                     rf"MAX_TICKS = {MAX_TICKS} ticks need dt_ctrl >= (\S+)\n", err)
+    assert m, err
+    budget, least = float(m[1]), float(m[2])
+    assert budget > BUDGET_MARGIN
+    assert MAX_TICKS * least >= budget  # the named period fits ...
+    assert least <= math.nextafter(budget / MAX_TICKS, math.inf)  # ... and is the least
 
 
 def test_main_exit_code_no_path(tmp_path):

@@ -159,6 +159,16 @@ def test_unknown_key_rejected():
         })
 
 
+@pytest.mark.parametrize("where", ["start", "goal"])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_heading_rejected(where, theta):
+    doc = {"start": {"x": 0, "y": 0}, "goal": {"x": 1, "y": 1},
+           "bounds": {"xmin": 0, "xmax": 2, "ymin": 0, "ymax": 2}}
+    doc[where]["theta"] = theta
+    with pytest.raises(ParseError, match=rf"{where}\.theta must be finite, got {theta}"):
+        scenario_from_dict(doc)
+
+
 def test_missing_required_key():
     with pytest.raises(ParseError, match="bounds"):
         scenario_from_dict({"start": {"x": 0, "y": 0}, "goal": {"x": 1, "y": 1}})

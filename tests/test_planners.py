@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_plan_kbf
+from oracles import reference_plan_kbf, reference_plan_rrt, reference_plan_rrt_cbf_qp
 
 from kbfplan.cli import load_bundled_scenario
 from kbfplan.core import (Bounds, CbfParams, Obstacle, PlannerConfig,
@@ -43,24 +43,29 @@ def open_scenario(goal=(3.0, 0.5), tol=0.6, obstacles=(), max_iters=50_000,
 
 def test_nearest_single_node():
     t = Tree(State(1.0, 1.0, 0.0, 0.0))
+    assert t.nodes == [(1.0, 1.0, 0.0, 0.0)]
     assert t.nearest(50.0, 50.0) == 0
 
 
 def test_nearest_strict_ordering():
     t = Tree(State(0.0, 0.0, 0.0, 0.0))
-    t.add(State(10.0, 0.0, 0.0, 0.0), 0, None)
+    t.add((10.0, 0.0, 0.0, 0.0), 0, None)
     assert t.nearest(1.0, 0.0) == 0
+    assert t.nearest(9.0, 0.0) == 1
+    t.add((10.0, 0.0, 1.0, 0.5), 1, (0.1, 0.2))  # a tie keeps the lowest index
     assert t.nearest(9.0, 0.0) == 1
 
 
 def test_nearest_matches_linear_scan():
     rng = np.random.default_rng(79)
     t = Tree(State(rng.uniform(0, 10), rng.uniform(0, 10), 0.0, 0.0))
-    pts = [(t.states[0].x, t.states[0].y)]
-    for _ in range(999):
+    pts = [t.nodes[0][:2]]
+    for n in range(999):
         x, y = rng.uniform(0, 10), rng.uniform(0, 10)
-        t.add(State(x, y, 0.0, 0.0), 0, None)
+        t.add((x, y, 0.0, 0.0), 0, None)
         pts.append((x, y))
+        if n % 97 == 0:  # queries between appends resync the position buffer
+            assert t.nearest(x, y) == n + 1
     for _ in range(100):
         q = (rng.uniform(0, 10), rng.uniform(0, 10))
         d2 = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p in pts]
@@ -252,6 +257,56 @@ def test_flat_planners_match_loop_reference_property(gamma1, gamma2, dt, seed, b
         cbf=CbfParams(gamma1, gamma2),
         planner=PlannerConfig(dt=dt, goal_tolerance=0.6, max_iters=1000)))
     assert_identical(run_both(s, seed, bounds and UncertaintyBounds(*bounds)))
+
+
+# -- nearest-neighbour planners against their frozen State-object loops -----
+
+NEAREST_PLANNERS = {"rrt": (plan_rrt, reference_plan_rrt),
+                    "rrt-cbf-qp": (plan_rrt_cbf_qp, reference_plan_rrt_cbf_qp)}
+
+
+def run_both_nearest(planner, s, seed):
+    """run_both for rrt or rrt-cbf-qp against its frozen reference (no trace)."""
+    runs = []
+    for fn in NEAREST_PLANNERS[planner]:
+        rng = np.random.default_rng(seed)
+        try:
+            out = fn(s, rng)
+        except NoPath as exc:
+            out = exc.iterations
+        runs.append((out, [], rng.bit_generator.state))
+    return runs
+
+
+@pytest.mark.parametrize("planner", sorted(NEAREST_PLANNERS))
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3", "scenario4"])
+def test_nearest_planners_match_frozen_reference(name, planner):
+    s = load_bundled_scenario(name)
+    short = dataclasses.replace(s, planner=dataclasses.replace(s.planner, max_iters=40))
+    no_path = 0
+    for seed in range(6):
+        runs = run_both_nearest(planner, s, seed)
+        assert not isinstance(runs[0][0], int)
+        assert_identical(runs)
+        runs = run_both_nearest(planner, short, seed)
+        no_path += isinstance(runs[0][0], int)
+        assert_identical(runs)
+    assert no_path >= 1  # some seeds need more than 40 iterations
+
+
+@settings(max_examples=40, deadline=None)
+@given(step=st.floats(0.05, 2.0), seed=st.integers(0, 2**32 - 1),
+       centers=st.lists(st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0),
+                                  st.floats(0.2, 1.0)), min_size=1, max_size=6))
+def test_rrt_matches_frozen_reference_property(step, seed, centers):
+    robot = RobotParams()
+    obstacles = [Obstacle(x, y, r) for x, y, r in centers
+                 if math.hypot(x - 0.8, y - 0.5) >= r + robot.r_r]
+    s = validate_scenario(Scenario(
+        start=State(0.8, 0.5, 0.0, 0.0), goal=State(3.5, 3.5, 0.0, 0.0),
+        obstacles=tuple(obstacles), bounds=Bounds(0.0, 5.0, 0.0, 5.0), robot=robot,
+        planner=PlannerConfig(step_size=step, goal_tolerance=0.6, max_iters=1000)))
+    assert_identical(run_both_nearest("rrt", s, seed))
 
 
 # -- block-decoded draws against numpy's scalar Generator calls -------------
