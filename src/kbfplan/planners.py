@@ -1,7 +1,7 @@
 """Tree-search planners: geometric, barrier-gated kinodynamic, and QP-steered.
 
 All four planners grow the same flat `Tree` of (x, y, theta, v) tuples and
-build `State` objects only for the returned path (`_plan`). `rrt` and
+build the returned path's `State` objects from it (`_plan`). `rrt` and
 `rrt-cbf-qp` share one sample -> nearest -> steer -> append loop (`_grow`)
 and differ only in their steer step. The barrier-gated planners (`rrt-kbf`,
 `robust-rrt-kbf`) draw their parent uniformly instead, so their loop appends
@@ -79,7 +79,8 @@ def _plan(tree: Tree, leaf: int, iterations: int, started: float,
     while chain[-1]:
         chain.append(tree.parents[chain[-1]])
     chain.reverse()
-    nodes, controls = tree.nodes, tree.controls
+    nodes = tree.nodes
+    controls = tree.controls
     waypoints = []
     t = 0.0
     for k, i in enumerate(chain):
@@ -91,8 +92,8 @@ def _plan(tree: Tree, leaf: int, iterations: int, started: float,
         u = controls[chain[k + 1]] if k + 1 < len(chain) else None
         waypoints.append(Waypoint(t, State(*nodes[i]), None if u is None else Control(*u)))
     return PlanResult(tuple(waypoints), tuple((n[0], n[1]) for n in nodes),
-                      tuple(zip(tree.parents[1:], range(1, len(nodes)))), iterations,
-                      time.perf_counter() - started)
+                      tuple((tree.parents[i], i) for i in range(1, len(nodes))),
+                      iterations, time.perf_counter() - started)
 
 
 def point_segment_distance(px: float, py: float, ax: float, ay: float,
@@ -115,8 +116,10 @@ def segment_collision(p0: tuple[float, float], p1: tuple[float, float],
                       obstacles, radii) -> bool:
     """True iff the closed segment comes strictly closer than the combined
     radius to any obstacle center (touching the boundary is safe)."""
-    return any(point_segment_distance(o.x, o.y, p0[0], p0[1], p1[0], p1[1]) < r
-               for o, r in zip(obstacles, radii))
+    for o, r in zip(obstacles, radii):
+        if point_segment_distance(o.x, o.y, p0[0], p0[1], p1[0], p1[1]) < r:
+            return True
+    return False
 
 
 def _goal_reached(x: float, y: float, s: Scenario) -> bool:
@@ -127,19 +130,17 @@ def _goal_reached(x: float, y: float, s: Scenario) -> bool:
 
 
 def _grow(s: Scenario, rng: np.random.Generator, steer, started: float,
-          **clock) -> PlanResult:
+          dt: float | None = None, v_nom: float | None = None) -> PlanResult:
     """The sample -> nearest -> steer -> append loop of rrt and rrt-cbf-qp
-    (LaValle & Kuffner's RRT skeleton).
+    (LaValle & Kuffner's RRT skeleton), for a start outside the goal region.
 
     Each iteration draws a point uniformly in the workspace and passes the
     nearest node and the point to steer(node, qx, qy), which returns the
     (node, control) chain to append below that node, or None. A chain ends
-    at its first node in the goal region, and the plan ends with it. clock
-    sets the waypoint times, as in _plan.
+    at its first node in the goal region, and the plan ends with it. dt or
+    v_nom sets the waypoint times, as in _plan.
     """
     tree = Tree(s.start)
-    if _goal_reached(s.start.x, s.start.y, s):
-        return _plan(tree, 0, 0, started, **clock)
     b = s.bounds
     for it in range(1, s.planner.max_iters + 1):
         qx = rng.uniform(b.xmin, b.xmax)
@@ -151,7 +152,7 @@ def _grow(s: Scenario, rng: np.random.Generator, steer, started: float,
         for node, control in chain:
             i = tree.add(node, i, control)
         if _goal_reached(node[0], node[1], s):
-            return _plan(tree, i, it, started, **clock)
+            return _plan(tree, i, it, started, dt, v_nom)
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 
@@ -165,13 +166,17 @@ def plan_rrt(s: Scenario, rng: np.random.Generator) -> PlanResult:
     followable.
     """
     started = time.perf_counter()
+    v_nom = 0.8 * s.robot.v_max
+    if _goal_reached(s.start.x, s.start.y, s):
+        return _plan(Tree(s.start), 0, 0, started, v_nom=v_nom)
     step = s.planner.step_size
     radii = [combined_radius(o, s.robot) for o in s.obstacles]
-    v_nom = 0.8 * s.robot.v_max
 
     def steer(node, qx, qy):
-        x, y = node[0], node[1]
-        dx, dy = qx - x, qy - y
+        x = node[0]
+        y = node[1]
+        dx = qx - x
+        dy = qy - y
         dist = math.hypot(dx, dy)
         if dist < 1e-12:
             return None
@@ -265,7 +270,9 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     dt = s.planner.dt
     if _goal_reached(s.start.x, s.start.y, s):
         return _plan(tree, 0, 0, started, dt)
-    nodes, parents, controls = tree.nodes, tree.parents, tree.controls
+    nodes = tree.nodes
+    parents = tree.parents
+    controls = tree.controls
     robot = s.robot
     g1 = s.cbf.gamma1
     g2 = s.cbf.gamma2
@@ -326,8 +333,10 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
     reconstruction choices, reported with benchmark output.
     """
     started = time.perf_counter()
-    robot = s.robot
     dt_sub = s.planner.dt / 10.0
+    if _goal_reached(s.start.x, s.start.y, s):
+        return _plan(Tree(s.start), 0, 0, started, dt_sub)
+    robot = s.robot
     b = s.bounds
     radii = [combined_radius(o, s.robot) for o in s.obstacles]
     obs = gate_obstacles(s.obstacles, robot)
@@ -338,16 +347,18 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
     tol2 = SAMPLE_TOLERANCE * SAMPLE_TOLERANCE
 
     def steer(node, qx, qy):
-        z = z0 = State(*node)
-        dx, dy = qx - z0.x, qy - z0.y
+        dx = qx - node[0]
+        dy = qy - node[1]
         dist = math.hypot(dx, dy)
         if dist < 1e-9:
             return None
-        ux, uy = dx / dist, dy / dist
+        ux = dx / dist
+        uy = dy / dist
+        z = State(*node)
         chain = []
         for k in range(1, 10 * K_SIM + 1):
             adv = min(v_ref * k * dt_sub, dist)
-            ref_pos = (z0.x + ux * adv, z0.y + uy * adv)
+            ref_pos = (node[0] + ux * adv, node[1] + uy * adv)
             ref_vel = (0.0, 0.0) if adv >= dist else (ux * v_ref, uy * v_ref)
             try:
                 mu_e, _, _ = clf_cbf_qp_control(z, tracking_error(z, ref_pos, ref_vel),
@@ -360,8 +371,10 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
                     barrier_value(z, o, r) < 0.0 for o, r in zip(s.obstacles, radii)):
                 return None
             chain.append(((z.x, z.y, z.theta, z.v), (u.c, u.a)))
-            if _goal_reached(z.x, z.y, s) or (z.x - qx) ** 2 + (z.y - qy) ** 2 <= tol2:
-                break  # at the goal or at the sample: extension complete
+            if _goal_reached(z.x, z.y, s):
+                break  # _grow ends the plan at this node
+            if (z.x - qx) ** 2 + (z.y - qy) ** 2 <= tol2:
+                break  # sample reached; extension complete
         return chain
 
     return _grow(s, rng, steer, started, dt=dt_sub)

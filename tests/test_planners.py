@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_plan_kbf, reference_plan_rrt, reference_plan_rrt_cbf_qp
 
+from kbfplan import planners
 from kbfplan.cli import load_bundled_scenario
 from kbfplan.core import (Bounds, CbfParams, Obstacle, PlannerConfig,
                           RobotParams, Scenario, State, UncertaintyBounds,
@@ -192,20 +193,34 @@ def test_robust_zero_bounds_identical_to_nominal():
 
 # -- flat-state planners against the loop-form reference --------------------
 
-def run_both(s, seed, bounds):
-    """Outcome, trace and final generator state of the shipped planner and of
-    the reference; the outcome is a PlanResult or the NoPath iteration count."""
+def kbf_pair(bounds):
+    """(shipped, reference) for rrt-kbf (bounds None) or robust-rrt-kbf."""
+    def shipped(s, rng, trace):
+        if bounds is None:
+            return plan_rrt_kbf(s, rng, trace=trace)
+        return plan_robust_rrt_kbf(s, bounds, rng, trace=trace)
+    return shipped, lambda s, rng, trace: reference_plan_kbf(s, rng, bounds, trace)
+
+
+def untraced(planner):
+    return lambda s, rng, trace: planner(s, rng)
+
+
+NEAREST_PAIRS = {"rrt": (untraced(plan_rrt), untraced(reference_plan_rrt)),
+                 "rrt-cbf-qp": (untraced(plan_rrt_cbf_qp),
+                                untraced(reference_plan_rrt_cbf_qp))}
+
+
+def run_both(pair, s, seed, make_rng=np.random.default_rng):
+    """Outcome, trace and final generator state of pair's shipped planner and
+    of its reference, each on make_rng(seed); the outcome is a PlanResult or
+    the NoPath iteration count. Only the barrier-gated pairs fill the trace."""
     runs = []
-    for planner in ("shipped", "reference"):
-        rng = np.random.default_rng(seed)
+    for planner in pair:
+        rng = make_rng(seed)
         trace = []
         try:
-            if planner == "reference":
-                out = reference_plan_kbf(s, rng, bounds, trace)
-            elif bounds is None:
-                out = plan_rrt_kbf(s, rng, trace=trace)
-            else:
-                out = plan_robust_rrt_kbf(s, bounds, rng, trace=trace)
+            out = planner(s, rng, trace)
         except NoPath as exc:
             out = exc.iterations
         runs.append((out, trace, rng.bit_generator.state))
@@ -232,10 +247,10 @@ def test_flat_planners_match_loop_reference(name):
     short = dataclasses.replace(s, planner=dataclasses.replace(s.planner, max_iters=40))
     for seed in range(8):
         for bounds in EQUIVALENCE_BOUNDS:
-            runs = run_both(s, seed, bounds)
+            runs = run_both(kbf_pair(bounds), s, seed)
             assert not isinstance(runs[0][0], int)
             assert_identical(runs)
-            runs = run_both(short, seed, bounds)
+            runs = run_both(kbf_pair(bounds), short, seed)
             assert runs[0][0] == 40  # NoPath
             assert_identical(runs)
 
@@ -256,39 +271,22 @@ def test_flat_planners_match_loop_reference_property(gamma1, gamma2, dt, seed, b
         obstacles=tuple(obstacles), bounds=Bounds(0.0, 5.0, 0.0, 5.0), robot=robot,
         cbf=CbfParams(gamma1, gamma2),
         planner=PlannerConfig(dt=dt, goal_tolerance=0.6, max_iters=1000)))
-    assert_identical(run_both(s, seed, bounds and UncertaintyBounds(*bounds)))
+    assert_identical(run_both(kbf_pair(bounds and UncertaintyBounds(*bounds)), s, seed))
 
 
 # -- nearest-neighbour planners against their frozen State-object loops -----
 
-NEAREST_PLANNERS = {"rrt": (plan_rrt, reference_plan_rrt),
-                    "rrt-cbf-qp": (plan_rrt_cbf_qp, reference_plan_rrt_cbf_qp)}
-
-
-def run_both_nearest(planner, s, seed):
-    """run_both for rrt or rrt-cbf-qp against its frozen reference (no trace)."""
-    runs = []
-    for fn in NEAREST_PLANNERS[planner]:
-        rng = np.random.default_rng(seed)
-        try:
-            out = fn(s, rng)
-        except NoPath as exc:
-            out = exc.iterations
-        runs.append((out, [], rng.bit_generator.state))
-    return runs
-
-
-@pytest.mark.parametrize("planner", sorted(NEAREST_PLANNERS))
+@pytest.mark.parametrize("planner", sorted(NEAREST_PAIRS))
 @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3", "scenario4"])
 def test_nearest_planners_match_frozen_reference(name, planner):
     s = load_bundled_scenario(name)
     short = dataclasses.replace(s, planner=dataclasses.replace(s.planner, max_iters=40))
     no_path = 0
     for seed in range(6):
-        runs = run_both_nearest(planner, s, seed)
+        runs = run_both(NEAREST_PAIRS[planner], s, seed)
         assert not isinstance(runs[0][0], int)
         assert_identical(runs)
-        runs = run_both_nearest(planner, short, seed)
+        runs = run_both(NEAREST_PAIRS[planner], short, seed)
         no_path += isinstance(runs[0][0], int)
         assert_identical(runs)
     assert no_path >= 1  # some seeds need more than 40 iterations
@@ -306,7 +304,7 @@ def test_rrt_matches_frozen_reference_property(step, seed, centers):
         start=State(0.8, 0.5, 0.0, 0.0), goal=State(3.5, 3.5, 0.0, 0.0),
         obstacles=tuple(obstacles), bounds=Bounds(0.0, 5.0, 0.0, 5.0), robot=robot,
         planner=PlannerConfig(step_size=step, goal_tolerance=0.6, max_iters=1000)))
-    assert_identical(run_both_nearest("rrt", s, seed))
+    assert_identical(run_both(NEAREST_PAIRS["rrt"], s, seed))
 
 
 # -- block-decoded draws against numpy's scalar Generator calls -------------
@@ -384,25 +382,6 @@ def pending_half_rng(seed):
     return rng
 
 
-def run_both_on(s, make_rng, bounds):
-    """run_both for the generators make_rng() returns."""
-    runs = []
-    for planner in ("shipped", "reference"):
-        rng = make_rng()
-        trace = []
-        try:
-            if planner == "reference":
-                out = reference_plan_kbf(s, rng, bounds, trace)
-            elif bounds is None:
-                out = plan_rrt_kbf(s, rng, trace=trace)
-            else:
-                out = plan_robust_rrt_kbf(s, bounds, rng, trace=trace)
-        except NoPath as exc:
-            out = exc.iterations
-        runs.append((out, trace, rng.bit_generator.state))
-    return runs
-
-
 @pytest.mark.parametrize("make_rng", [
     pending_half_rng,
     lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)),
@@ -416,8 +395,8 @@ def test_flat_planners_match_loop_reference_on_every_bit_generator(name, make_rn
     for seed in range(3):
         for bounds in (None, UncertaintyBounds(0.3, 0.3)):
             for scenario in (s, short):
-                (a, trace_a, rng_a), (b, trace_b, rng_b) = run_both_on(
-                    scenario, lambda: make_rng(seed), bounds)
+                (a, trace_a, rng_a), (b, trace_b, rng_b) = run_both(
+                    kbf_pair(bounds), scenario, seed, make_rng)
                 assert a == b if isinstance(a, int) or isinstance(b, int) else same_plan(a, b)
                 assert trace_a == trace_b
                 assert same_state(rng_a, rng_b)
@@ -536,9 +515,18 @@ def test_plan_dispatch_names():
         plan("dijkstra", s, rng)
 
 
-def test_start_inside_goal_region_trivial_plan():
+def test_start_inside_goal_region_trivial_plan(monkeypatch):
     s = open_scenario(goal=(1.0, 0.6), tol=0.8)
     for planner in (plan_rrt, plan_rrt_kbf, plan_rrt_cbf_qp):
         r = planner(s, np.random.default_rng(0))
         assert len(r.waypoints) == 1
         assert r.waypoints[0].state == s.start
+    # every planner's one-node plan matches its frozen reference in full
+    for pair in (kbf_pair(None), kbf_pair(UncertaintyBounds(0.3, 0.3)),
+                 *NEAREST_PAIRS.values()):
+        runs = run_both(pair, s, 0)
+        assert runs[0][0].iterations_used == 0
+        assert_identical(runs)
+    # and rrt-cbf-qp sets up no controller for it
+    monkeypatch.setattr(planners, "solve_lyapunov", None)
+    assert len(plan_rrt_cbf_qp(s, np.random.default_rng(0)).waypoints) == 1
