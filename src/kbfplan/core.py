@@ -262,6 +262,9 @@ def validate_scenario(s: Scenario) -> Scenario:
             v.append(Violation("GoalOutOfBounds", "goal", (s.goal.x, s.goal.y),
                                "goal must lie inside bounds"))
 
+    for name, z in (("start", s.start), ("goal", s.goal)):
+        if not math.isfinite(z.theta):  # State keeps a NaN heading
+            v.append(Violation("NonFiniteParameter", f"{name}.theta", z.theta, "must be finite"))
     if not (0.0 <= s.start.v <= s.robot.v_max):
         v.append(Violation("ParameterOutOfRange", "start.v", s.start.v,
                            f"must lie in [0, v_max={s.robot.v_max}]"))

@@ -3,7 +3,8 @@
 Problems have at most a handful of variables and inequality rows, and the
 same instance shape is re-solved every controller tick, so a dual active-set
 method (Goldfarb-Idnani scheme) with a warm-started working set beats any
-general-purpose solver here by a wide margin.
+general-purpose solver here by a wide margin. As in that scheme, each problem
+forms H^{-1} once, and a solve multiplies by it instead of solving with H.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ class QpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class QpProblem:
-    """min 0.5 x'Hx + f'x  subject to  A_ineq x <= b_ineq.
+    """min 0.5 x'Hx + f'x  subject to  A_ineq x <= b_ineq, with H positive definite.
 
-    Validated once: f, A_ineq and b_ineq, not H, may be rewritten in place between solves."""
+    Validated, and H_inv formed, once: f, A_ineq and b_ineq, not H, may change in place."""
 
     H: np.ndarray
     f: np.ndarray
     A_ineq: np.ndarray
     b_ineq: np.ndarray
+    H_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         f = np.asarray(self.f, dtype=float).ravel()
@@ -44,11 +46,16 @@ class QpProblem:
         h = H.tolist()  # scalar loop: np.allclose costs more than the solve here
         if not all(abs(h[i][j] - h[j][i]) <= 1e-12 for i in range(n) for j in range(i, n)):
             raise ValueError("H must be symmetric")  # or holds a NaN, diagonal included
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            raise ValueError("H must be positive definite") from None
         A = np.asarray(self.A_ineq, dtype=float).reshape(-1, n)
         b = np.asarray(self.b_ineq, dtype=float).ravel()
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A_ineq has {A.shape[0]} rows but b_ineq has {b.shape[0]}")
         object.__setattr__(self, "H", H)
+        object.__setattr__(self, "H_inv", np.linalg.inv(H))
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "A_ineq", A)
         object.__setattr__(self, "b_ineq", b)
@@ -94,7 +101,7 @@ class ActiveSetQp:
         self._warm: tuple[int, ...] = ()
 
     def solve(self, prob: QpProblem) -> QpSolution:
-        H, A, b = prob.H, prob.A_ineq, prob.b_ineq
+        H, H_inv, A, b = prob.H, prob.H_inv, prob.A_ineq, prob.b_ineq
         neg_f = -prob.f
         m = A.shape[0]
 
@@ -103,7 +110,7 @@ class ActiveSetQp:
             if warm is not None:
                 return warm
 
-        x = np.linalg.solve(H, neg_f)
+        x = H_inv @ neg_f
         if m == 0:
             return self._optimal(H, neg_f, x, [], [], 0)
 
@@ -127,10 +134,10 @@ class ActiveSetQp:
             while True:
                 if changes >= self.max_iter:
                     return QpSolution(None, QpStatus.ITER_LIMIT, tuple(W), tuple(lam), changes)
-                hn = np.linalg.solve(H, n_p)
+                hn = H_inv @ n_p
                 if W:
                     N = -A[W].T
-                    HN = np.linalg.solve(H, N)
+                    HN = H_inv @ N  # C order, as from a solve, keeps the BLAS kernels below
                     r = np.linalg.solve(N.T @ HN, N.T @ hn)
                     z = hn - HN @ r
                 else:

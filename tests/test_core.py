@@ -85,6 +85,17 @@ def test_validate_non_finite_obstacle_center():
             [("NonFiniteParameter", "obstacles[0]")]
 
 
+@pytest.mark.parametrize("where", ["start", "goal"])
+def test_validate_non_finite_heading(where):
+    # State raises on an infinite heading but keeps a NaN, which a scenario built
+    # in Python would carry into the planner's whole iteration budget
+    s = basic_scenario(**{where: State(0.5, 0.5, math.nan, 0.0)})
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_scenario(s)
+    assert [(v.kind, v.field) for v in exc.value.violations] == \
+        [("NonFiniteParameter", f"{where}.theta")]
+
+
 def test_validate_start_in_collision():
     s = basic_scenario(obstacles=(Obstacle(0.1, 0.0, 1.0),))
     with pytest.raises(ScenarioValidationError) as exc:

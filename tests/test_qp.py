@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import random_qp, solve_qp_enumeration
 
@@ -147,6 +149,43 @@ def test_problem_shape_validation():
     for H in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
         with pytest.raises(ValueError, match="symmetric"):
             QpProblem(H, [0.0, 0.0], np.zeros((0, 2)), [])
+
+
+@pytest.mark.parametrize("H", [[[1.0, 0.0], [0.0, -1.0]],   # indefinite: a saddle, no minimum
+                               [[1.0, 0.0], [0.0, 0.0]],    # singular diagonal
+                               [[1.0, 1.0], [1.0, 1.0]]])   # singular dense
+def test_hessian_not_positive_definite_rejected(H):
+    # the dual method assumes a strictly convex problem; without this check the
+    # indefinite case read OPTIMAL at the saddle point (0, 1) of an unbounded problem
+    with pytest.raises(ValueError, match="positive definite"):
+        QpProblem(H, [0.0, 1.0], [[1.0, 0.0]], [5.0])
+
+
+_THIRD = st.sampled_from([1.0, 0.0, -0.0])  # -f[2] and -A[p, 2] of the controller's QP
+_A_THIRD = st.sampled_from([-1.0, 0.0, -0.0])  # A[:, 2]: the slack's column
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.floats(1e-3, 1e6), _FINITE, _FINITE, _THIRD)
+def test_controller_hessian_inverse_matches_solve(penalty, v0, v1, v2):
+    # the controller's H = diag(2, 2, 2p) is inverted once per problem; each
+    # product with the inverse must give the floats of the solve it replaces
+    H = np.diag([2.0, 2.0, 2.0 * penalty])
+    H_inv = QpProblem(H, np.zeros(3), np.zeros((0, 3)), []).H_inv
+    v = np.array([v0, v1, v2])
+    assert np.array_equal(H_inv @ v, np.linalg.solve(H, v))
+
+
+@given(st.floats(1e-3, 1e6),
+       st.lists(st.tuples(_FINITE, _FINITE, _A_THIRD), min_size=1, max_size=3))
+def test_controller_hessian_inverse_matches_solve_on_working_sets(penalty, rows):
+    H = np.diag([2.0, 2.0, 2.0 * penalty])
+    H_inv = QpProblem(H, np.zeros(3), np.zeros((0, 3)), []).H_inv
+    N = -np.array(rows).T  # Fortran order, as the solver's -A[W].T
+    HN = H_inv @ N
+    assert np.array_equal(HN, np.linalg.solve(H, N))
+    # a solve returns C order; keeping it keeps the BLAS kernels of N.T @ HN and HN @ r
+    assert HN.flags.c_contiguous
 
 
 NAN = float("nan")
