@@ -16,26 +16,23 @@ import statistics
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
 from .core import (Obstacle, ParseError, PlanResult, Scenario,
-                   ScenarioValidationError, UncertaintyBounds, UnsupportedBound,
-                   combined_radius, scenario_from_dict, scenario_to_dict,
-                   validate_scenario)
+                   ScenarioValidationError, UncertaintyBounds, combined_radius,
+                   scenario_from_dict, scenario_to_dict, validate_scenario)
 from .planners import CBF_QP_BASELINE_NOTE, PLANNER_NAMES, NoPath, plan
-from .sim import (BUDGET_MARGIN, MAX_TICKS, ControllerInfeasible, TimeBudgetExceeded,
-                  Trajectory, follow_path, min_barrier, write_trajectory_csv)
+from .sim import (BUDGET_MARGIN, DT_CTRL_DEFAULT, MAX_TICKS, ControllerInfeasible,
+                  TimeBudgetExceeded, Trajectory, follow_path, min_barrier,
+                  write_trajectory_csv)
 
 # m^2: a true barrier below this is a safety violation, not round-off at a
 # touching boundary
 BARRIER_FLOOR = -1e-6
-
-BENCH_CSV_HEADER = ("planner,scenario,runs,successes,"
-                    "mean_s,median_s,std_s,mean_len_m,mean_clearance_m")
 
 
 def load_scenario(path) -> Scenario:
@@ -122,6 +119,9 @@ class BenchRow:
     mean_clearance_m: float
 
 
+BENCH_CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
+
+
 @dataclass(frozen=True)
 class BenchReport:
     rows: tuple[BenchRow, ...]
@@ -183,9 +183,7 @@ def write_bench_csv(report: BenchReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(BENCH_CSV_HEADER + "\n")
         for r in report.rows:
-            fh.write(f"{r.planner},{r.scenario},{r.runs},{r.successes},"
-                     f"{r.mean_s!r},{r.median_s!r},{r.std_s!r},"
-                     f"{r.mean_len_m!r},{r.mean_clearance_m!r}\n")
+            fh.write(",".join(map(str, astuple(r))) + "\n")
 
 
 def format_bench_table(report: BenchReport) -> str:
@@ -322,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="plan, then follow the plan closed-loop")
     common(p_sim)
-    p_sim.add_argument("--dt-ctrl", type=float, default=0.02,
+    p_sim.add_argument("--dt-ctrl", type=float, default=DT_CTRL_DEFAULT,
                        help="controller period in seconds")
     p_sim.add_argument("--pos-err", type=float, default=0.0,
                        help="perceived-obstacle position error in meters")
@@ -452,8 +450,7 @@ def main(argv=None) -> int:
                 "bench": _cmd_bench, "inject": _cmd_inject}
     try:
         return handlers[args.command](args)
-    except (ParseError, ScenarioValidationError, UnsupportedBound,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # input errors: bad values, unreadable paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

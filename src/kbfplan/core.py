@@ -1,9 +1,9 @@
 """Shared domain types, the scenario model, and validation."""
 
-from __future__ import annotations
-
+# No `from __future__ import annotations` here: the scenario reader takes each
+# field's type from dataclasses.fields, so annotations must stay evaluated.
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Any, Collection
 
 import numpy as np
@@ -33,8 +33,8 @@ class State:
 
     x: float      # m
     y: float      # m
-    theta: float  # rad, kept in (-pi, pi]
-    v: float      # m/s
+    theta: float = 0.0  # rad, kept in (-pi, pi]
+    v: float = 0.0      # m/s
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", wrap_angle(self.theta))
@@ -286,45 +286,49 @@ def validate_scenario(s: Scenario) -> Scenario:
 # serialization
 # ---------------------------------------------------------------------------
 
-_STATE_KEYS = ("x", "y", "theta", "v")
-_OBSTACLE_KEYS = ("x", "y", "r")
-_BOUNDS_KEYS = ("xmin", "xmax", "ymin", "ymax")
-_ROBOT_KEYS = {"L", "psi_max", "a_max", "v_max", "r_r"}
-_CBF_KEYS = {"gamma1", "gamma2"}
-_CLF_KEYS = {"K_P", "K_D", "Q", "penalty"}
-_PLANNER_KEYS = {"step_size", "dt", "max_iters", "goal_tolerance", "seed"}
-_TOP_KEYS = {"start", "goal", "obstacles", "bounds", "robot", "cbf", "clf", "planner"}
-
-
-def _check_keys(d: Any, allowed: Collection[str], where: str) -> None:
+def _check_keys(d: Any, allowed: Collection[str], required: Collection[str], where: str) -> None:
     if not isinstance(d, dict):
         raise ParseError(f"{where} must be a JSON object, not {type(d).__name__}")
     for k in d:
         if k not in allowed:
             raise ParseError(f"unknown key {k!r} in {where}")
-
-
-def _numbers(d: Any, allowed: Collection[str], where: str, required: Collection[str] = (),
-             ints: Collection[str] = ()) -> dict[str, Any]:
-    """The fields of the JSON object `where` as floats (ints for keys in ints)."""
-    _check_keys(d, allowed, where)
     for k in required:
         if k not in d:
             raise ParseError(f"missing key {k!r} in {where}")
-    out = {}
-    for k, v in d.items():
-        try:
-            out[k] = int(v) if k in ints else float(v)
-        except (TypeError, ValueError):
-            raise ParseError(f"{where}.{k} must be a number, got {v!r}") from None
-    return out
 
 
-def _state_from_dict(d: Any, where: str) -> State:
-    f = _numbers(d, _STATE_KEYS, where, ("x", "y"))
-    if not math.isfinite(f.get("theta", 0.0)):  # State keeps NaN and raises on inf
-        raise ParseError(f"{where}.theta must be finite, got {f['theta']}")
-    return State(f["x"], f["y"], f.get("theta", 0.0), f.get("v", 0.0))
+def _number(v: Any, where: str, kind: Any) -> Any:
+    """The JSON number v as an int if kind is int, else as a float; kind Any also
+    takes nested arrays of numbers. Anything else, an int too large for a float,
+    and a fractional or non-finite number of kind int, is a ParseError."""
+    if kind is Any and isinstance(v, list):
+        return [_number(e, where, kind) for e in v]
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"{where} must be a number, got {v!r}")
+    if kind is int:
+        if isinstance(v, float) and not v.is_integer():  # NaN and infinities included
+            raise ParseError(f"{where} must be an integer, got {v!r}")
+        return int(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ParseError(f"{where} is too large for a float") from None
+
+
+def _section(cls: type, d: Any, where: str) -> Any:
+    """The dataclass cls from the JSON object `where`: its keys are the fields of
+    cls, those without a default required, each read by _number as annotated."""
+    types = {f.name: f.type for f in fields(cls)}
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    _check_keys(d, types, required, where)
+    kwargs = {k: _number(v, f"{where}.{k}", types[k]) for k, v in d.items()}
+    if cls is State and not math.isfinite(kwargs.get("theta", 0.0)):  # State keeps NaN
+        raise ParseError(f"{where}.theta must be finite, got {kwargs['theta']}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a gain of the wrong shape
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -333,55 +337,27 @@ def scenario_from_dict(d: dict) -> Scenario:
     Unknown keys are rejected at every level so typos fail loudly, and a
     section of the wrong JSON type is a ParseError naming it.
     """
-    _check_keys(d, _TOP_KEYS, "scenario")
-    for required in ("start", "goal", "bounds"):
-        if required not in d:
-            raise ParseError(f"missing key {required!r} in scenario")
-
-    start = _state_from_dict(d["start"], "start")
-    goal = _state_from_dict(d["goal"], "goal")
-    bounds = Bounds(**_numbers(d["bounds"], _BOUNDS_KEYS, "bounds", _BOUNDS_KEYS))
-
-    obstacle_list = d.get("obstacles", [])
-    if not isinstance(obstacle_list, list):
-        raise ParseError(f"obstacles must be a JSON array, not {type(obstacle_list).__name__}")
-    obstacles = [Obstacle(**_numbers(od, _OBSTACLE_KEYS, f"obstacles[{i}]", _OBSTACLE_KEYS))
-                 for i, od in enumerate(obstacle_list)]
-
-    robot = RobotParams(**_numbers(d.get("robot", {}), _ROBOT_KEYS, "robot"))
-    cbf = CbfParams(**_numbers(d.get("cbf", {}), _CBF_KEYS, "cbf"))
-
-    ld = d.get("clf", {})
-    _check_keys(ld, _CLF_KEYS, "clf")
-    try:
-        clf = ClfParams(**ld)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"clf: {exc}") from None
-
-    planner = PlannerConfig(**_numbers(d.get("planner", {}), _PLANNER_KEYS, "planner",
-                                       ints=("max_iters", "seed")))
-
-    return Scenario(start=start, goal=goal, obstacles=tuple(obstacles), bounds=bounds,
-                    robot=robot, cbf=cbf, clf=clf, planner=planner)
+    types = {f.name: f.type for f in fields(Scenario)}
+    _check_keys(d, types, ("start", "goal", "bounds"), "scenario")
+    obstacles = d.get("obstacles", [])
+    if not isinstance(obstacles, list):
+        raise ParseError(f"obstacles must be a JSON array, not {type(obstacles).__name__}")
+    sections = {k: _section(types[k], v, k) for k, v in d.items() if k != "obstacles"}
+    sections["obstacles"] = [_section(Obstacle, o, f"obstacles[{i}]")
+                             for i, o in enumerate(obstacles)]
+    return Scenario(**sections)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    """Inverse of scenario_from_dict; emits the fully explicit form."""
-    return {
-        "start": {"x": s.start.x, "y": s.start.y, "theta": s.start.theta, "v": s.start.v},
-        "goal": {"x": s.goal.x, "y": s.goal.y, "theta": s.goal.theta, "v": s.goal.v},
-        "obstacles": [{"x": o.x, "y": o.y, "r": o.r} for o in s.obstacles],
-        "bounds": {"xmin": s.bounds.xmin, "xmax": s.bounds.xmax,
-                   "ymin": s.bounds.ymin, "ymax": s.bounds.ymax},
-        "robot": {"L": s.robot.L, "psi_max": s.robot.psi_max, "a_max": s.robot.a_max,
-                  "v_max": s.robot.v_max, "r_r": s.robot.r_r},
-        "cbf": {"gamma1": s.cbf.gamma1, "gamma2": s.cbf.gamma2},
-        "clf": {"K_P": s.clf.K_P.tolist(), "K_D": s.clf.K_D.tolist(),
-                "Q": s.clf.Q.tolist(), "penalty": s.clf.penalty},
-        "planner": {"step_size": s.planner.step_size, "dt": s.planner.dt,
-                    "max_iters": s.planner.max_iters,
-                    "goal_tolerance": s.planner.goal_tolerance, "seed": s.planner.seed},
-    }
+def scenario_to_dict(value: Any) -> Any:
+    """Inverse of scenario_from_dict; emits the fully explicit form. Each dataclass
+    becomes a JSON object of its fields, a tuple an array, an ndarray nested lists."""
+    if is_dataclass(value):
+        return {f.name: scenario_to_dict(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [scenario_to_dict(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 # ---------------------------------------------------------------------------

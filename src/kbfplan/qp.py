@@ -68,15 +68,6 @@ class QpSolution:
     active_set: tuple[int, ...]
     multipliers: tuple[float, ...]  # aligned with active_set, >= 0
     iterations: int                 # working-set changes performed
-    _cost: tuple = field(default=(), repr=False)  # (H, -f) as solved, for objective
-
-    @property
-    def objective(self) -> float:
-        """0.5 x'Hx + f'x at x (NaN without x), computed on request."""
-        if self.x is None:
-            return math.nan
-        H, neg_f = self._cost
-        return float(0.5 * (self.x @ H @ self.x) - neg_f @ self.x)
 
 
 class ActiveSetQp:
@@ -112,7 +103,7 @@ class ActiveSetQp:
 
         x = H_inv @ neg_f
         if m == 0:
-            return self._optimal(H, neg_f, x, [], [], 0)
+            return self._optimal(x, [], [], 0)
 
         W: list[int] = []
         lam: list[float] = []
@@ -127,7 +118,7 @@ class ActiveSetQp:
                 elif v != v:  # a NaN row fails closed
                     return QpSolution(None, QpStatus.INFEASIBLE, tuple(W), tuple(lam), changes)
             if p < 0:
-                return self._optimal(H, neg_f, x, W, lam, changes)
+                return self._optimal(x, W, lam, changes)
 
             n_p = -A[p]  # inward normal of the incoming constraint
             lam_p = 0.0
@@ -198,14 +189,14 @@ class ActiveSetQp:
         if (any(not v >= -_MULT_TOL for v in mult)
                 or any(not v <= _VIOL_TOL for v in (A @ x - b).tolist())):
             return None
-        return self._optimal(H, neg_f, x, idx, [max(0.0, v) for v in mult], 0)
+        return self._optimal(x, idx, [max(0.0, v) for v in mult], 0)
 
-    def _optimal(self, H, neg_f, x, W: list[int], lam: list[float], iters: int) -> QpSolution:
+    def _optimal(self, x, W: list[int], lam: list[float], iters: int) -> QpSolution:
         if not all(map(math.isfinite, x.tolist())):
             return QpSolution(None, QpStatus.INFEASIBLE, tuple(W), tuple(lam), iters)
         pairs = sorted(zip(W, lam))
         active = tuple(i for i, _ in pairs)
         mults = tuple(float(v) for _, v in pairs)
         self._warm = active
-        return QpSolution(x, QpStatus.OPTIMAL, active, mults, iters, (H, neg_f))
+        return QpSolution(x, QpStatus.OPTIMAL, active, mults, iters)
 

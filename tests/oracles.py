@@ -25,6 +25,11 @@ from kbfplan.sim import (DT_CTRL_DEFAULT, ControllerInfeasible, TimeBudgetExceed
                          TrajectorySample, _PlanReference)
 
 
+def objective(H, f, x):
+    """0.5 x'Hx + f'x, the cost of the QP (H, f) at x."""
+    return float(0.5 * (x @ H @ x) + np.asarray(f, dtype=float) @ x)
+
+
 def solve_qp_enumeration(H, f, A, b, tol=1e-9):
     """Brute-force KKT solve: try every subset of constraints as the active
     set, keep the candidate that is primal feasible with nonnegative
@@ -59,7 +64,7 @@ def solve_qp_enumeration(H, f, A, b, tol=1e-9):
             continue
         if m and np.any(A @ x - b > tol):
             continue
-        obj = float(0.5 * (x @ H @ x) + f @ x)
+        obj = objective(H, f, x)
         if best is None or obj < best[1]:
             best = (x, obj)
     return best

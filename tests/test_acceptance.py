@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (circular_arc_state, random_qp, reference_condition,
+from oracles import (circular_arc_state, objective, random_qp, reference_condition,
                      robust_worst_grid, solve_qp_enumeration)
 
 from kbfplan.cli import inject_perception_error, load_bundled_scenario
@@ -264,7 +264,7 @@ def test_criterion_6_qp_oracle_equivalence():
             status_mismatch += 1
         else:
             worst_x = max(worst_x, float(np.max(np.abs(sol.x - oracle[0]))))
-            worst_obj = max(worst_obj, abs(sol.objective - oracle[1]))
+            worst_obj = max(worst_obj, abs(objective(H, f, sol.x) - oracle[1]))
     ok = status_mismatch == 0 and worst_x <= 1e-8 and worst_obj <= 1e-8
     detail = (f"status mismatches {status_mismatch}, worst |dx| {worst_x:.2e}, "
               f"worst |dobj| {worst_obj:.2e}")

@@ -39,6 +39,9 @@ def test_load_minimal_scenario(tmp_path):
     s = load_scenario(write_json(tmp_path, MINIMAL))
     assert isinstance(s, Scenario)
     assert s.obstacles == ()
+    # an integral float is read as an int where the field is one
+    s = load_scenario(write_json(tmp_path, dict(MINIMAL, planner={"max_iters": 5e4})))
+    assert s.planner.max_iters == 50_000 and type(s.planner.max_iters) is int
 
 
 def test_load_unknown_key(tmp_path):
@@ -55,7 +58,21 @@ def test_load_unknown_key(tmp_path):
     ("obstacles", 5, "obstacles must be a JSON array"),
     ("robot", {"L": None}, "robot.L must be a number"),
     ("clf", {"K_P": [[1.0, 0.0], [0.0]]}, "clf: "),
-], ids=["start-int", "start-list", "obstacle-int", "obstacles-int", "robot-null", "clf-ragged"])
+    # only JSON numbers are numbers, and an int field takes only integral ones
+    ("start", {"x": "0.5", "y": 0.5}, "start.x must be a number, got '0.5'"),
+    ("start", {"x": True, "y": 0.5}, "start.x must be a number, got True"),
+    ("goal", {"x": [3.0], "y": 3.0}, "goal.x must be a number, got [3.0]"),
+    ("bounds", {"xmin": 0, "xmax": 10 ** 400, "ymin": 0, "ymax": 4},
+     "bounds.xmax is too large for a float"),
+    ("planner", {"max_iters": 2.9}, "planner.max_iters must be an integer, got 2.9"),
+    ("planner", {"max_iters": math.inf}, "planner.max_iters must be an integer, got inf"),
+    ("planner", {"seed": math.nan}, "planner.seed must be an integer, got nan"),
+    ("clf", {"K_P": "2"}, "clf.K_P must be a number, got '2'"),
+    ("clf", {"Q": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, None, 0], [0, 0, 0, 1]]},
+     "clf.Q must be a number, got None"),
+], ids=["start-int", "start-list", "obstacle-int", "obstacles-int", "robot-null", "clf-ragged",
+        "start-string", "start-bool", "goal-array", "xmax-overflow", "max-iters-fraction",
+        "max-iters-inf", "seed-nan", "clf-string", "clf-null-entry"])
 def test_load_wrong_typed_section(tmp_path, capsys, section, value, message):
     path = write_json(tmp_path, dict(MINIMAL, **{section: value}))
     with pytest.raises(ParseError, match=re.escape(message)):
@@ -257,6 +274,8 @@ def test_main_exit_code_input_error(tmp_path):
     bad.write_text("{not json")
     assert main(["plan", "--scenario", str(bad)]) == 2
     assert main(["plan", "--scenario", str(tmp_path / "missing.json")]) == 2
+    assert main(["plan", "--scenario", str(tmp_path)]) == 2
+    assert main(["inject", "--scenario", "scenario1", "--out", str(tmp_path)]) == 2
 
 
 def test_main_exit_code_non_finite_obstacle(tmp_path, capsys):

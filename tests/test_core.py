@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -141,6 +143,55 @@ def test_scenario_roundtrip_bit_identical():
     assert s2 == s
     # and a second trip is stable too
     assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s2)))) == s2
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_INT = st.integers(-2 ** 64, 2 ** 64)
+
+
+def _gain(size):
+    return _FINITE | st.lists(st.lists(_FINITE, min_size=size, max_size=size),
+                              min_size=size, max_size=size)
+
+
+_STATES = st.builds(State, _FINITE, _FINITE, _FINITE, _FINITE)
+_SCENARIOS = st.builds(
+    Scenario, _STATES, _STATES,
+    st.lists(st.builds(Obstacle, _FINITE, _FINITE, _FINITE), max_size=5),
+    st.builds(Bounds, _FINITE, _FINITE, _FINITE, _FINITE),
+    st.builds(RobotParams, _FINITE, _FINITE, _FINITE, _FINITE, _FINITE),
+    st.builds(CbfParams, _FINITE, _FINITE),
+    st.builds(ClfParams, _gain(2), _gain(2), _gain(4), _FINITE),
+    st.builds(PlannerConfig, _FINITE, _FINITE, _INT, _FINITE, _INT))
+_SECTIONS = {"start": State, "goal": State, "bounds": Bounds, "robot": RobotParams,
+             "cbf": CbfParams, "clf": ClfParams, "planner": PlannerConfig}
+# the keys a scenario file must give; every other key may be left to its default
+_REQUIRED = {Scenario: {"start", "goal", "bounds"}, State: {"x", "y"},
+             Obstacle: {"x", "y", "r"}, Bounds: {"xmin", "xmax", "ymin", "ymax"}}
+
+
+@given(_SCENARIOS)
+def test_scenario_roundtrip_property(s):
+    doc = json.loads(json.dumps(scenario_to_dict(s)))
+    assert scenario_from_dict(doc) == s
+    # a section's keys are its dataclass's fields: all written, no other one read
+    sections = [("scenario", Scenario, doc)]
+    sections += [(k, cls, doc[k]) for k, cls in _SECTIONS.items()]
+    sections += [(f"obstacles[{i}]", Obstacle, o) for i, o in enumerate(doc["obstacles"])]
+    for where, cls, section in sections:
+        assert list(section) == [f.name for f in fields(cls)]
+        section["extra"] = 0
+        with pytest.raises(ParseError, match=re.escape(f"unknown key 'extra' in {where}")):
+            scenario_from_dict(doc)
+        del section["extra"]
+        for k in list(section):
+            value = section.pop(k)
+            if k in _REQUIRED.get(cls, ()):
+                with pytest.raises(ParseError, match=re.escape(f"missing key {k!r} in {where}")):
+                    scenario_from_dict(doc)
+            else:
+                scenario_from_dict(doc)
+            section[k] = value
 
 
 def test_minimal_document_gets_defaults():
