@@ -3,7 +3,7 @@
 # No `from __future__ import annotations` here: the scenario reader takes each
 # field's type from dataclasses.fields, so annotations must stay evaluated.
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass
 from typing import Any, Collection
 
 import numpy as np
@@ -251,7 +251,9 @@ def validate_scenario(s: Scenario) -> Scenario:
                            s.planner.max_iters, "must be > 0"))
 
     b = s.bounds
-    if not (b.xmin < b.xmax and b.ymin < b.ymax):
+    if not all(map(math.isfinite, astuple(b))):
+        v.append(Violation("NonFiniteParameter", "bounds", astuple(b), "must be finite"))
+    elif not (b.xmin < b.xmax and b.ymin < b.ymax):
         v.append(Violation("ParameterOutOfRange", "bounds", (b.xmin, b.xmax, b.ymin, b.ymax),
                            "must satisfy xmin < xmax and ymin < ymax"))
     else:

@@ -21,10 +21,11 @@ import numpy as np
 
 from .core import (Control, PlanResult, Scenario, State, UncertaintyBounds,
                    Waypoint, combined_radius, gate_obstacles, wrap_angle)
-from .control import InfeasibleSafety, clf_cbf_qp_control, safety_qp, solve_lyapunov
-from .dynamics import integrate_step, io_linearize, rk4_step, tracking_error
-from .qp import ActiveSetQp
+# unused here since sim.ClosedLoop runs the tick, but perfbench's tracer swaps these names here
+from .control import InfeasibleSafety, clf_cbf_qp_control, solve_lyapunov  # noqa: F401
+from .dynamics import integrate_step, io_linearize, rk4_step, tracking_error  # noqa: F401
 from .safety import barrier_value, gate_value
+from .sim import ClosedLoop
 
 
 class NoPath(RuntimeError):
@@ -321,9 +322,9 @@ SAMPLE_TOLERANCE = 0.1   # m, rrt-cbf-qp extension ends this close to its sample
 def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
     """Baseline that steers every extension with the safety-filtered QP.
 
-    Each extension simulates the closed-loop tracking controller from the
-    nearest node toward the sampled point, for at most K_SIM control periods
-    of dt (ten controller ticks per period), stopping early on arrival at the
+    Each extension runs the follower's tick (sim.ClosedLoop) from the nearest
+    node toward the sampled point, for at most K_SIM control periods of dt
+    (ten controller ticks per period), stopping early on arrival at the
     sample or the goal. The chain is accepted only if every intermediate
     state kept all barriers nonnegative; a barrier dip or an infeasible tick
     discards the whole extension. Simulating the loop makes each extension
@@ -336,14 +337,8 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
     dt_sub = s.planner.dt / 10.0
     if _goal_reached(s.start.x, s.start.y, s):
         return _plan(Tree(s.start), 0, 0, started, dt_sub)
-    robot = s.robot
-    b = s.bounds
-    radii = [combined_radius(o, s.robot) for o in s.obstacles]
-    obs = gate_obstacles(s.obstacles, robot)
-    data = solve_lyapunov(s.clf)
-    solver = ActiveSetQp()
-    prob = safety_qp(data, len(obs))
-    v_ref = STEER_SPEED_FRAC * robot.v_max
+    loop = ClosedLoop(s, dt_sub)
+    v_ref = STEER_SPEED_FRAC * s.robot.v_max
     tol2 = SAMPLE_TOLERANCE * SAMPLE_TOLERANCE
 
     def steer(node, qx, qy):
@@ -361,14 +356,11 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
             ref_pos = (node[0] + ux * adv, node[1] + uy * adv)
             ref_vel = (0.0, 0.0) if adv >= dist else (ux * v_ref, uy * v_ref)
             try:
-                mu_e, _, _ = clf_cbf_qp_control(z, tracking_error(z, ref_pos, ref_vel),
-                                                obs, s.cbf, s.clf, data, solver, prob)
+                u, _, _, z = loop.tick(z, tracking_error(z, ref_pos, ref_vel), (0.0, 0.0))
             except InfeasibleSafety:
                 return None
-            u = io_linearize(z, (-mu_e[0], -mu_e[1]), robot)
-            z = integrate_step(z, u, dt_sub, robot)
-            if not b.contains(z.x, z.y) or any(
-                    barrier_value(z, o, r) < 0.0 for o, r in zip(s.obstacles, radii)):
+            if not s.bounds.contains(z.x, z.y) or any(
+                    barrier_value(z, o, r) < 0.0 for o, r in loop.true_obs):
                 return None
             chain.append(((z.x, z.y, z.theta, z.v), (u.c, u.a)))
             if _goal_reached(z.x, z.y, s):

@@ -4,8 +4,9 @@ The follower turns a plan into a time-parameterized reference (linear
 interpolation of position and velocity between waypoints, velocities from
 finite differences), runs the safety-filtered tracking QP on the tracking
 error each control period against the *perceived* obstacle set, and
-integrates the true plant. Each tick records the controller's V and the
-barrier values against the *true* obstacles, for the perception audits.
+integrates the true plant (`ClosedLoop.tick`, which the rrt-cbf-qp steer
+shares). Each tick records the controller's V and the barrier values
+against the *true* obstacles, for the perception audits.
 """
 
 from __future__ import annotations
@@ -57,6 +58,31 @@ class TimeBudgetExceeded(RuntimeError):
         super().__init__(f"goal not reached within {t:.3f}s")
         self.t = t
         self.trajectory = trajectory
+
+
+class ClosedLoop:
+    """The safety-filtered tracking controller closed around the true plant, set
+    up once per follow or rrt-cbf-qp plan; the QP sees `perceived_obstacles`."""
+
+    def __init__(self, s: Scenario, dt: float, perceived_obstacles=None):
+        obs = gate_obstacles(s.obstacles if perceived_obstacles is None
+                             else perceived_obstacles, s.robot)
+        self.data = solve_lyapunov(s.clf)
+        # clf_cbf_qp_control's arguments after (z, e)
+        self.qp = (obs, s.cbf, s.clf, self.data, ActiveSetQp(), safety_qp(self.data, len(obs)))
+        self.true_obs = [(o, combined_radius(o, s.robot)) for o in s.obstacles]
+        self.robot = s.robot
+        self.dt = dt
+
+    def tick(self, z: State, e: tuple, mu_rm: tuple[float, float]):
+        """(control, slack, V, next state) of one period; raises InfeasibleSafety."""
+        mu_e, slack, V = clf_cbf_qp_control(z, e, *self.qp, mu_rm)
+        u = io_linearize(z, (mu_rm[0] - mu_e[0], mu_rm[1] - mu_e[1]), self.robot)
+        return u, slack, V, integrate_step(z, u, self.dt, self.robot)
+
+    def barriers(self, z: State) -> tuple[float, ...]:
+        """The barrier value of z for each true obstacle."""
+        return tuple([barrier_value(z, o, r) for o, r in self.true_obs])
 
 
 class _PlanReference:
@@ -134,21 +160,12 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
         raise ValueError(f"dt_ctrl {dt_ctrl} is too short for the default time budget "
                          f"{budget} s (plan duration + BUDGET_MARGIN): MAX_TICKS = "
                          f"{MAX_TICKS} ticks need dt_ctrl >= {least}")
-    obs = gate_obstacles(s.obstacles if perceived_obstacles is None else perceived_obstacles,
-                         s.robot)
-    data = solve_lyapunov(s.clf)
-    solver = ActiveSetQp()
-    prob = safety_qp(data, len(obs))
-    true_obs = [(o, combined_radius(o, s.robot)) for o in s.obstacles]
+    loop = ClosedLoop(s, dt_ctrl, perceived_obstacles)
     tol2 = s.planner.goal_tolerance ** 2
     gx, gy = s.goal.x, s.goal.y
-
     z = plan.waypoints[0].state
     t = 0.0
     samples: list[TrajectorySample] = []
-
-    def snapshot(state: State) -> tuple[float, ...]:
-        return tuple([barrier_value(state, o, r) for o, r in true_obs])
 
     while True:
         pos, vel, acc = ref.eval(t)
@@ -156,21 +173,17 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
         dx = z.x - gx
         dy = z.y - gy
         if dx * dx + dy * dy <= tol2:
-            samples.append(TrajectorySample(t, z, Control(0.0, 0.0), snapshot(z),
-                                            clf_terms(e, data)[0], 0.0))
+            samples.append(TrajectorySample(t, z, Control(0.0, 0.0), loop.barriers(z),
+                                            clf_terms(e, loop.data)[0], 0.0))
             return Trajectory(tuple(samples))
         if t > budget:
             raise TimeBudgetExceeded(t, Trajectory(tuple(samples)))
-
         try:
-            mu_e, slack, V = clf_cbf_qp_control(z, e, obs, s.cbf, s.clf, data, solver, prob,
-                                                mu_rm=acc)
+            u, slack, V, z_next = loop.tick(z, e, acc)
         except InfeasibleSafety as exc:
             raise ControllerInfeasible(t, Trajectory(tuple(samples))) from exc
-        u = io_linearize(z, (acc[0] - mu_e[0], acc[1] - mu_e[1]), s.robot)
-        samples.append(TrajectorySample(t, z, u, snapshot(z), V, slack))
-
-        z = integrate_step(z, u, dt_ctrl, s.robot)
+        samples.append(TrajectorySample(t, z, u, loop.barriers(z), V, slack))
+        z = z_next
         t += dt_ctrl
 
 

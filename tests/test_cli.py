@@ -284,6 +284,14 @@ def test_main_exit_code_non_finite_obstacle(tmp_path, capsys):
     assert "NonFiniteParameter: obstacles[0]" in capsys.readouterr().err
 
 
+def test_main_exit_code_infinite_bound(tmp_path, capsys):
+    # JSON's 1e400 reads as inf; planning over it was an OverflowError traceback
+    path = write_json(tmp_path, MINIMAL)
+    path.write_text(path.read_text().replace('"xmax": 4', '"xmax": 1e400'))
+    assert main(["plan", "--planner", "rrt", "--scenario", str(path)]) == 2
+    assert "NonFiniteParameter: bounds" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--dt-ctrl", "nan"],
     ["simulate", "--dt-ctrl", "0"],

@@ -87,6 +87,19 @@ def test_validate_non_finite_obstacle_center():
             [("NonFiniteParameter", "obstacles[0]")]
 
 
+@pytest.mark.parametrize("corner", ["xmin", "xmax", "ymin", "ymax"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_validate_non_finite_bounds(corner, value):
+    # an infinite bound passes the ordering check, and the planners' uniform
+    # draws over it raise OverflowError or never come near the goal
+    bounds = {**dict(xmin=-1.0, xmax=6.0, ymin=-1.0, ymax=6.0), corner: value}
+    s = basic_scenario(bounds=Bounds(**bounds))
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_scenario(s)
+    assert [(v.kind, v.field) for v in exc.value.violations] == \
+        [("NonFiniteParameter", "bounds")]
+
+
 @pytest.mark.parametrize("where", ["start", "goal"])
 def test_validate_non_finite_heading(where):
     # State raises on an infinite heading but keeps a NaN, which a scenario built

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_plan_kbf, reference_plan_rrt, reference_plan_rrt_cbf_qp
 
-from kbfplan import planners
+from kbfplan import planners, sim
 from kbfplan.cli import load_bundled_scenario
 from kbfplan.core import (Bounds, CbfParams, Obstacle, PlannerConfig,
                           RobotParams, Scenario, State, UncertaintyBounds,
@@ -22,10 +22,9 @@ from kbfplan.safety import kbf_check
 
 
 def same_plan(a, b):
-    """Equality ignoring wall-clock time."""
-    return (a.waypoints == b.waypoints and a.tree_nodes == b.tree_nodes
-            and a.tree_edges == b.tree_edges
-            and a.iterations_used == b.iterations_used)
+    """Equality ignoring wall-clock time, by repr, so a zero's sign counts too."""
+    return (repr((a.waypoints, a.tree_nodes, a.tree_edges, a.iterations_used))
+            == repr((b.waypoints, b.tree_nodes, b.tree_edges, b.iterations_used)))
 
 
 def open_scenario(goal=(3.0, 0.5), tol=0.6, obstacles=(), max_iters=50_000,
@@ -528,5 +527,7 @@ def test_start_inside_goal_region_trivial_plan(monkeypatch):
         assert runs[0][0].iterations_used == 0
         assert_identical(runs)
     # and rrt-cbf-qp sets up no controller for it
-    monkeypatch.setattr(planners, "solve_lyapunov", None)
+    monkeypatch.setattr(sim, "solve_lyapunov", None)
     assert len(plan_rrt_cbf_qp(s, np.random.default_rng(0)).waypoints) == 1
+    with pytest.raises(TypeError):  # the patch reaches the controller's set-up
+        plan_rrt_cbf_qp(open_scenario(), np.random.default_rng(0))

@@ -1,11 +1,14 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import ReferenceQp, reference_follow_path, reference_qp_control
 
-from kbfplan import planners
+import kbfplan
+from kbfplan import sim
 from kbfplan.cli import inject_perception_error, load_bundled_scenario
 from kbfplan.control import clf_terms, solve_lyapunov
 from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
@@ -140,9 +143,9 @@ def assert_follow_matches_reference(plan, s, perceived_obstacles=None):
                                             perceived_obstacles)
     assert kind is ref_kind
     assert len(samples) == len(ref_samples)
-    for a, b in zip(samples, ref_samples):
-        assert (a.t, a.state, a.control, a.b_values, a.V, a.d) == \
-            (b.t, b.state, b.control, b.b_values, b.V, b.d)
+    for a, b in zip(samples, ref_samples):  # by repr, so a zero's sign counts too
+        assert repr((a.t, a.state, a.control, a.b_values, a.V, a.d)) == \
+            repr((b.t, b.state, b.control, b.b_values, b.V, b.d))
 
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3", "scenario4"])
@@ -173,22 +176,54 @@ def test_follow_matches_frozen_tick_under_perception_error():
 
 
 def test_cbf_qp_planner_matches_frozen_tick(monkeypatch):
-    # rrt-cbf-qp runs the same controller for every extension
+    # rrt-cbf-qp runs the follower's tick (sim.ClosedLoop) for every extension
     for name in ("scenario1", "scenario2", "scenario3", "scenario4"):
         s = load_bundled_scenario(name)
         solver = ReferenceQp()
+        calls = []
 
         def frozen(z, e, _obstacles, cbf, clf, d, _solver, _prob, mu_rm=(0.0, 0.0)):
+            calls.append(mu_rm)
             return reference_qp_control(z, e, s.obstacles, s.robot, cbf, clf, d, solver, mu_rm)
 
         shipped = plan_rrt_cbf_qp(s, np.random.default_rng(0))
         with monkeypatch.context() as m:
-            m.setattr(planners, "clf_cbf_qp_control", frozen)
+            m.setattr(sim, "clf_cbf_qp_control", frozen)
             reference = plan_rrt_cbf_qp(s, np.random.default_rng(0))
-        assert shipped.waypoints == reference.waypoints
-        assert shipped.tree_nodes == reference.tree_nodes
-        assert shipped.tree_edges == reference.tree_edges
-        assert shipped.iterations_used == reference.iterations_used
+        assert len(calls) > 0 and set(calls) == {(0.0, 0.0)}
+        assert repr((shipped.waypoints, shipped.tree_nodes, shipped.tree_edges,
+                     shipped.iterations_used)) == \
+            repr((reference.waypoints, reference.tree_nodes, reference.tree_edges,
+                  reference.iterations_used))
+
+
+def _load_tracer():
+    """perfbench/tracer.py, loaded by path: the benchmark's spans, read as they are."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_span_counts_of_one_follow_and_one_cbf_qp_plan():
+    # the benchmark's tracer swaps module globals of planners and sim; every
+    # span must still see each call the follower and the rrt-cbf-qp steer make
+    tracer = _load_tracer()
+    s = load_bundled_scenario("scenario2")
+    plan = plan_rrt_kbf(s, np.random.default_rng(3))
+    tr = tracer.Tracer()
+    with tr.installed(kbfplan):
+        follow_path(plan, s)
+    tick = {"control.clf_cbf_qp": 263, "dynamics.io_linearize": 263,
+            "dynamics.integrate_step": 263, "qp.solve": 263}
+    once = {"control.solve_lyapunov": 1, "control.qp_build": 1}
+    assert dict(tr.calls) == {**tick, **once, "safety.barrier_value": 1056}
+    tr = tracer.Tracer()
+    with tr.installed(kbfplan):
+        plan_rrt_cbf_qp(s, np.random.default_rng(0))
+    assert dict(tr.calls) == {**dict.fromkeys(tick, 514), **once, "safety.barrier_value": 2049,
+                              "planners.tree_add": 326, "planners.tree_nearest": 9}
 
 
 def test_nan_obstacle_row_fails_closed():
