@@ -3,8 +3,8 @@
 # No `from __future__ import annotations` here: the scenario reader takes each
 # field's type from dataclasses.fields, so annotations must stay evaluated.
 import math
-from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass
-from typing import Any, Collection
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Annotated, Any, Collection
 
 import numpy as np
 
@@ -27,13 +27,32 @@ class UnsupportedBound(ValueError):
     """Uncertainty bounds outside the supported range."""
 
 
+# Each scenario field's domain, declared on its annotation as the names of rules
+# that validate_scenario checks in order. Names, not functions: typing caches each
+# Annotated alias, and a cached function would keep its module alive on re-import.
+_RULES = {  # name: (violation kind, rule text, holds)
+    "positive": ("NonPositiveParameter", "must be finite and > 0",
+                 lambda x: math.isfinite(x) and x > 0.0),
+    "finite": ("NonFiniteParameter", "must be finite", math.isfinite),
+    "finite matrix": ("NonFiniteParameter", "must be finite", lambda m: np.isfinite(m).all()),
+    "symmetric": ("ParameterOutOfRange", "must be symmetric",
+                  lambda m: np.allclose(m, m.T, atol=1e-12, rtol=0.0)),
+    "positive definite": ("ParameterOutOfRange", "must be positive definite",
+                          lambda m: np.min(np.linalg.eigvalsh(m)) > 0.0),
+    "below pi/2": ("ParameterOutOfRange", "must be < pi/2", lambda x: x < math.pi / 2),
+}
+Positive = Annotated[float, "positive"]
+Finite = Annotated[float, "finite"]
+Spd = Annotated[Any, "finite matrix", "symmetric", "positive definite"]
+
+
 @dataclass(frozen=True)
 class State:
     """Vehicle configuration: planar position, heading, forward speed."""
 
     x: float      # m
     y: float      # m
-    theta: float = 0.0  # rad, kept in (-pi, pi]
+    theta: Finite = 0.0  # rad, kept in (-pi, pi]
     v: float = 0.0      # m/s
 
     def __post_init__(self) -> None:
@@ -50,11 +69,11 @@ class Control:
 
 @dataclass(frozen=True)
 class RobotParams:
-    L: float = 0.2                        # wheelbase, m
-    psi_max: float = math.radians(30.0)   # max steering angle, rad
-    a_max: float = 1.0                    # max acceleration, m/s^2
-    v_max: float = 1.2                    # max forward speed, m/s
-    r_r: float = 0.25                     # robot safety-circle radius, m
+    L: Positive = 0.2                     # wheelbase, m
+    psi_max: Annotated[Positive, "below pi/2"] = math.radians(30.0)  # max steering angle, rad
+    a_max: Positive = 1.0                 # max acceleration, m/s^2
+    v_max: Positive = 1.2                 # max forward speed, m/s
+    r_r: Positive = 0.25                  # robot safety-circle radius, m
 
     @property
     def c_max(self) -> float:
@@ -64,17 +83,17 @@ class RobotParams:
 
 @dataclass(frozen=True)
 class Obstacle:
-    x: float  # center x, m
-    y: float  # center y, m
-    r: float  # radius, m
+    x: Finite    # center x, m
+    y: Finite    # center y, m
+    r: Positive  # radius, m
 
 
 @dataclass(frozen=True)
 class CbfParams:
     """Gains of the order-2 exponential barrier chain."""
 
-    gamma1: float = 1.0  # 1/s
-    gamma2: float = 1.0  # 1/s
+    gamma1: Positive = 1.0  # 1/s
+    gamma2: Positive = 1.0  # 1/s
 
 
 def _gain_matrix(value: Any, size: int) -> np.ndarray:
@@ -97,26 +116,21 @@ class ClfParams:
     2x2 identity) or full 2x2 matrices; Q likewise for the 4x4 case.
     """
 
-    K_P: Any = 1.0
-    K_D: Any = 1.0
-    Q: Any = 1.0
-    penalty: float = 1.0e3
+    K_P: Spd = 1.0
+    K_D: Spd = 1.0
+    Q: Spd = 1.0
+    penalty: Positive = 1.0e3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "K_P", _gain_matrix(self.K_P, 2))
-        object.__setattr__(self, "K_D", _gain_matrix(self.K_D, 2))
-        object.__setattr__(self, "Q", _gain_matrix(self.Q, 4))
+        for name, size in (("K_P", 2), ("K_D", 2), ("Q", 4)):
+            object.__setattr__(self, name, _gain_matrix(getattr(self, name), size))
         object.__setattr__(self, "penalty", float(self.penalty))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClfParams):
             return NotImplemented
-        return (
-            np.array_equal(self.K_P, other.K_P)
-            and np.array_equal(self.K_D, other.K_D)
-            and np.array_equal(self.Q, other.Q)
-            and self.penalty == other.penalty
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -136,10 +150,10 @@ class UncertaintyBounds:
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    step_size: float = 0.5        # geometric extension length, m
-    dt: float = 0.1               # control hold per kinodynamic extension, s
-    max_iters: int = 50_000
-    goal_tolerance: float = 0.5   # goal acceptance radius, m
+    step_size: Positive = 0.5       # geometric extension length, m
+    dt: Positive = 0.1              # control hold per kinodynamic extension, s
+    max_iters: Annotated[int, "positive"] = 50_000
+    goal_tolerance: Positive = 0.5  # goal acceptance radius, m
     seed: int = 0
 
 
@@ -147,10 +161,10 @@ class PlannerConfig:
 class Bounds:
     """Axis-aligned workspace rectangle."""
 
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
+    xmin: Finite
+    xmax: Finite
+    ymin: Finite
+    ymax: Finite
 
     def contains(self, x: float, y: float) -> bool:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
@@ -197,85 +211,56 @@ class ScenarioValidationError(ValueError):
         super().__init__(f"invalid scenario: {lines}")
 
 
-def _positive(violations: list[Violation], name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        violations.append(Violation("NonPositiveParameter", name, value, "must be > 0"))
-
-
-def _spd(violations: list[Violation], name: str, mat: np.ndarray) -> None:
-    if not np.allclose(mat, mat.T, atol=1e-12, rtol=0.0):
-        violations.append(Violation("ParameterOutOfRange", name, mat.tolist(), "must be symmetric"))
-        return
-    if np.min(np.linalg.eigvalsh(mat)) <= 0.0:
-        violations.append(
-            Violation("ParameterOutOfRange", name, mat.tolist(), "must be positive definite")
-        )
+def _field_violations(obj: Any, where: str) -> list[Violation]:
+    """The first broken annotated rule of each field of the dataclass obj."""
+    v = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        for name in getattr(f.type, "__metadata__", ()):
+            kind, rule, holds = _RULES[name]
+            if not holds(value):
+                v.append(Violation(kind, f"{where}.{f.name}", scenario_to_dict(value), rule))
+                break
+    return v
 
 
 def validate_scenario(s: Scenario) -> Scenario:
-    """Check every scenario invariant; return the scenario unchanged if all hold.
+    """Check every scenario invariant; return the scenario unchanged if all hold,
+    else raise ScenarioValidationError carrying the full list of violations.
 
-    Raises ScenarioValidationError carrying the full list of violations
-    otherwise. Validation is pure, so re-validating a validated scenario
-    yields the same result.
+    Each field's own domain is declared on its dataclass annotation (Positive,
+    Finite, Spd) and checked by one walk over the fields; only the rules that
+    relate fields are written out below. Validation is pure, so re-validating a
+    validated scenario yields the same result.
     """
-    v: list[Violation] = []
-
-    _positive(v, "robot.L", s.robot.L)
-    _positive(v, "robot.psi_max", s.robot.psi_max)
-    if s.robot.psi_max >= math.pi / 2:
-        v.append(Violation("ParameterOutOfRange", "robot.psi_max", s.robot.psi_max,
-                           "must be < pi/2"))
-    _positive(v, "robot.a_max", s.robot.a_max)
-    _positive(v, "robot.v_max", s.robot.v_max)
-    _positive(v, "robot.r_r", s.robot.r_r)
-
-    for i, o in enumerate(s.obstacles):
-        if not (math.isfinite(o.x) and math.isfinite(o.y)):
-            v.append(Violation("NonFiniteParameter", f"obstacles[{i}]", (o.x, o.y),
-                               "center must be finite"))
-        _positive(v, f"obstacles[{i}].r", o.r)
-
-    _positive(v, "cbf.gamma1", s.cbf.gamma1)
-    _positive(v, "cbf.gamma2", s.cbf.gamma2)
-    _positive(v, "clf.penalty", s.clf.penalty)
-    _spd(v, "clf.K_P", s.clf.K_P)
-    _spd(v, "clf.K_D", s.clf.K_D)
-    _spd(v, "clf.Q", s.clf.Q)
-
-    _positive(v, "planner.step_size", s.planner.step_size)
-    _positive(v, "planner.dt", s.planner.dt)
-    _positive(v, "planner.goal_tolerance", s.planner.goal_tolerance)
-    if s.planner.max_iters <= 0:
-        v.append(Violation("NonPositiveParameter", "planner.max_iters",
-                           s.planner.max_iters, "must be > 0"))
+    sections: dict[str, Any] = {}
+    for f in fields(s):
+        if f.name == "obstacles":
+            sections.update((f"obstacles[{i}]", o) for i, o in enumerate(s.obstacles))
+        else:
+            sections[f.name] = getattr(s, f.name)
+    failed = {where: _field_violations(obj, where) for where, obj in sections.items()}
+    v = [x for vs in failed.values() for x in vs]
 
     b = s.bounds
-    if not all(map(math.isfinite, astuple(b))):
-        v.append(Violation("NonFiniteParameter", "bounds", astuple(b), "must be finite"))
+    if failed["bounds"]:
+        pass  # the order of a non-finite corner means nothing
     elif not (b.xmin < b.xmax and b.ymin < b.ymax):
         v.append(Violation("ParameterOutOfRange", "bounds", (b.xmin, b.xmax, b.ymin, b.ymax),
                            "must satisfy xmin < xmax and ymin < ymax"))
     else:
-        if not b.contains(s.start.x, s.start.y):
-            v.append(Violation("StartOutOfBounds", "start", (s.start.x, s.start.y),
-                               "start must lie inside bounds"))
-        if not b.contains(s.goal.x, s.goal.y):
-            v.append(Violation("GoalOutOfBounds", "goal", (s.goal.x, s.goal.y),
-                               "goal must lie inside bounds"))
+        for name, z, kind in (("start", s.start, "StartOutOfBounds"),
+                              ("goal", s.goal, "GoalOutOfBounds")):
+            if not b.contains(z.x, z.y):
+                v.append(Violation(kind, name, (z.x, z.y), f"{name} must lie inside bounds"))
 
-    for name, z in (("start", s.start), ("goal", s.goal)):
-        if not math.isfinite(z.theta):  # State keeps a NaN heading
-            v.append(Violation("NonFiniteParameter", f"{name}.theta", z.theta, "must be finite"))
     if not (0.0 <= s.start.v <= s.robot.v_max):
         v.append(Violation("ParameterOutOfRange", "start.v", s.start.v,
                            f"must lie in [0, v_max={s.robot.v_max}]"))
 
-    for i, o in enumerate(s.obstacles):
-        if o.r <= 0.0:
-            continue  # already reported above
+    for i, o in enumerate(s.obstacles):  # an obstacle with a broken field is reported above
         r = combined_radius(o, s.robot)
-        if math.hypot(s.start.x - o.x, s.start.y - o.y) < r:
+        if not failed[f"obstacles[{i}]"] and math.hypot(s.start.x - o.x, s.start.y - o.y) < r:
             v.append(Violation("StartInCollision", f"obstacles[{i}]", (o.x, o.y, o.r),
                                f"start is closer than r_o + r_r = {r} to the obstacle center"))
 
@@ -320,7 +305,7 @@ def _number(v: Any, where: str, kind: Any) -> Any:
 def _section(cls: type, d: Any, where: str) -> Any:
     """The dataclass cls from the JSON object `where`: its keys are the fields of
     cls, those without a default required, each read by _number as annotated."""
-    types = {f.name: f.type for f in fields(cls)}
+    types = {f.name: getattr(f.type, "__origin__", f.type) for f in fields(cls)}
     required = [f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING]
     _check_keys(d, types, required, where)

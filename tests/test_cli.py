@@ -292,6 +292,16 @@ def test_main_exit_code_infinite_bound(tmp_path, capsys):
     assert "NonFiniteParameter: bounds" in capsys.readouterr().err
 
 
+def test_main_exit_code_non_finite_gain(tmp_path, capsys):
+    # JSON's 1e400 reads as inf; the controller then found no feasible QP at t=0
+    q = [[1e300 if i == j == 0 else float(i == j) for j in range(4)] for i in range(4)]
+    path = write_json(tmp_path, dict(MINIMAL, clf={"Q": q}))
+    path.write_text(path.read_text().replace("1e+300", "1e400"))
+    assert main(["simulate", "--planner", "rrt-kbf", "--seed", "1",
+                 "--scenario", str(path)]) == 2
+    assert "NonFiniteParameter: clf.Q" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--dt-ctrl", "nan"],
     ["simulate", "--dt-ctrl", "0"],

@@ -79,12 +79,23 @@ def test_validate_negative_radius():
 
 
 def test_validate_non_finite_obstacle_center():
-    for center in ((3.0, math.nan), (math.nan, 3.0), (math.inf, 3.0), (3.0, -math.inf)):
+    for center, axis in (((3.0, math.nan), "y"), ((math.nan, 3.0), "x"),
+                         ((math.inf, 3.0), "x"), ((3.0, -math.inf), "y")):
         s = basic_scenario(obstacles=(Obstacle(*center, 1.0),))
         with pytest.raises(ScenarioValidationError) as exc:
             validate_scenario(s)
         assert [(v.kind, v.field) for v in exc.value.violations] == \
-            [("NonFiniteParameter", "obstacles[0]")]
+            [("NonFiniteParameter", f"obstacles[0].{axis}")]
+
+
+def test_validate_broken_obstacle_is_not_also_a_collision():
+    # an infinite radius covers the start, but the obstacle is reported once,
+    # for the field that broke, not again as StartInCollision
+    s = basic_scenario(obstacles=(Obstacle(2.0, 2.0, math.inf),))
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_scenario(s)
+    assert [(v.kind, v.field) for v in exc.value.violations] == \
+        [("NonPositiveParameter", "obstacles[0].r")]
 
 
 @pytest.mark.parametrize("corner", ["xmin", "xmax", "ymin", "ymax"])
@@ -97,7 +108,7 @@ def test_validate_non_finite_bounds(corner, value):
     with pytest.raises(ScenarioValidationError) as exc:
         validate_scenario(s)
     assert [(v.kind, v.field) for v in exc.value.violations] == \
-        [("NonFiniteParameter", "bounds")]
+        [("NonFiniteParameter", f"bounds.{corner}")]
 
 
 @pytest.mark.parametrize("where", ["start", "goal"])
@@ -109,6 +120,74 @@ def test_validate_non_finite_heading(where):
         validate_scenario(s)
     assert [(v.kind, v.field) for v in exc.value.violations] == \
         [("NonFiniteParameter", f"{where}.theta")]
+
+
+def _skewed(size):
+    m = np.eye(size)
+    m[0, 1] = 0.5
+    return m.tolist()
+
+
+# Every single-field rule and every cross-field rule, written out by hand rather
+# than read from the annotations, so dropping one of them fails here: the
+# keyword arguments to basic_scenario that break it, and the one violation due.
+RULES = [
+    (dict(robot=RobotParams(L=0.0)), "NonPositiveParameter", "robot.L"),
+    (dict(robot=RobotParams(psi_max=-0.1)), "NonPositiveParameter", "robot.psi_max"),
+    (dict(robot=RobotParams(psi_max=math.inf)), "NonPositiveParameter", "robot.psi_max"),
+    (dict(robot=RobotParams(psi_max=math.pi / 2)), "ParameterOutOfRange", "robot.psi_max"),
+    (dict(robot=RobotParams(a_max=-1.0)), "NonPositiveParameter", "robot.a_max"),
+    (dict(robot=RobotParams(v_max=math.inf)), "NonPositiveParameter", "robot.v_max"),
+    (dict(robot=RobotParams(r_r=math.nan)), "NonPositiveParameter", "robot.r_r"),
+    (dict(obstacles=(Obstacle(math.nan, 3.0, 0.5),)), "NonFiniteParameter", "obstacles[0].x"),
+    (dict(obstacles=(Obstacle(3.0, math.inf, 0.5),)), "NonFiniteParameter", "obstacles[0].y"),
+    (dict(obstacles=(Obstacle(3.0, 3.0, 0.0),)), "NonPositiveParameter", "obstacles[0].r"),
+    (dict(obstacles=(Obstacle(0.5, 0.0, 0.5),)), "StartInCollision", "obstacles[0]"),
+    (dict(cbf=CbfParams(gamma1=0.0)), "NonPositiveParameter", "cbf.gamma1"),
+    (dict(cbf=CbfParams(gamma2=-math.inf)), "NonPositiveParameter", "cbf.gamma2"),
+    (dict(clf=ClfParams(penalty=math.nan)), "NonPositiveParameter", "clf.penalty"),
+    # a non-finite gain left the QP infeasible at t=0, reached numpy's "must not
+    # contain infs or NaNs" without naming the field, or read "must be symmetric"
+    (dict(clf=ClfParams(K_P=[[1.0, math.inf], [math.inf, 1.0]])), "NonFiniteParameter",
+     "clf.K_P"),
+    (dict(clf=ClfParams(K_P=_skewed(2))), "ParameterOutOfRange", "clf.K_P"),
+    (dict(clf=ClfParams(K_P=-1.0)), "ParameterOutOfRange", "clf.K_P"),
+    (dict(clf=ClfParams(K_D=[[math.nan, 0.0], [0.0, 1.0]])), "NonFiniteParameter", "clf.K_D"),
+    (dict(clf=ClfParams(K_D=math.inf)), "NonFiniteParameter", "clf.K_D"),
+    (dict(clf=ClfParams(K_D=_skewed(2))), "ParameterOutOfRange", "clf.K_D"),
+    (dict(clf=ClfParams(K_D=0.0)), "ParameterOutOfRange", "clf.K_D"),
+    (dict(clf=ClfParams(Q=np.diag([1.0, 1.0, 1.0, math.inf]).tolist())),
+     "NonFiniteParameter", "clf.Q"),
+    (dict(clf=ClfParams(Q=np.diag([1.0, -math.inf, 1.0, 1.0]).tolist())),
+     "NonFiniteParameter", "clf.Q"),
+    (dict(clf=ClfParams(Q=_skewed(4))), "ParameterOutOfRange", "clf.Q"),
+    (dict(clf=ClfParams(Q=np.diag([1.0, 1.0, 1.0, -1.0]).tolist())),
+     "ParameterOutOfRange", "clf.Q"),
+    (dict(planner=PlannerConfig(step_size=0.0)), "NonPositiveParameter", "planner.step_size"),
+    (dict(planner=PlannerConfig(dt=-0.1)), "NonPositiveParameter", "planner.dt"),
+    (dict(planner=PlannerConfig(max_iters=0)), "NonPositiveParameter", "planner.max_iters"),
+    (dict(planner=PlannerConfig(goal_tolerance=math.inf)), "NonPositiveParameter",
+     "planner.goal_tolerance"),
+    (dict(bounds=Bounds(-math.inf, 6.0, -1.0, 6.0)), "NonFiniteParameter", "bounds.xmin"),
+    (dict(bounds=Bounds(-1.0, math.nan, -1.0, 6.0)), "NonFiniteParameter", "bounds.xmax"),
+    (dict(bounds=Bounds(-1.0, 6.0, math.nan, 6.0)), "NonFiniteParameter", "bounds.ymin"),
+    (dict(bounds=Bounds(-1.0, 6.0, -1.0, math.inf)), "NonFiniteParameter", "bounds.ymax"),
+    (dict(bounds=Bounds(-1.0, 6.0, 6.0, -1.0)), "ParameterOutOfRange", "bounds"),
+    (dict(start=State(-2.0, 0.0)), "StartOutOfBounds", "start"),
+    (dict(goal=State(4.0, 7.0)), "GoalOutOfBounds", "goal"),
+    (dict(start=State(0.0, 0.0, math.nan)), "NonFiniteParameter", "start.theta"),
+    (dict(goal=State(4.0, 4.0, math.nan)), "NonFiniteParameter", "goal.theta"),
+    (dict(start=State(0.0, 0.0, 0.0, -0.1)), "ParameterOutOfRange", "start.v"),
+    (dict(start=State(0.0, 0.0, 0.0, 1.3)), "ParameterOutOfRange", "start.v"),
+]
+
+
+@pytest.mark.parametrize("overrides, kind, where", RULES,
+                         ids=[f"{where}-{kind}" for _, kind, where in RULES])
+def test_validate_rule_table(overrides, kind, where):
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_scenario(basic_scenario(**overrides))
+    assert [(v.kind, v.field) for v in exc.value.violations] == [(kind, where)]
 
 
 def test_validate_start_in_collision():
