@@ -41,7 +41,7 @@ class ClfData:
     """Synthesized Lyapunov data for one gain setting."""
 
     P_lyap: np.ndarray  # 4x4, symmetric positive definite
-    A_cl: np.ndarray    # 4x4 closed-loop matrix
+    Q: np.ndarray       # 4x4 weight of the decrease row's e'Qe
     M: np.ndarray       # F'P + PF, cached for the Lie derivative
     PG: np.ndarray      # P G, cached for the input Lie derivative
     H: np.ndarray       # QP Hessian diag(2, 2, 2*penalty), read-only
@@ -53,22 +53,23 @@ def solve_lyapunov(clf: ClfParams) -> ClfData:
         raise ValueError(f"penalty must be positive and finite, got {clf.penalty}")
     I2 = np.eye(2)
     Z2 = np.zeros((2, 2))
-    A = np.block([[Z2, I2], [-clf.K_P, -clf.K_D]])
+    A = np.block([[Z2, I2], [-np.array(clf.K_P), -np.array(clf.K_D)]])
     if np.any(np.linalg.eigvals(A).real >= 0.0):
         raise NotHurwitz(f"closed-loop spectrum not strictly stable for gains "
-                         f"K_P={clf.K_P.tolist()}, K_D={clf.K_D.tolist()}")
+                         f"K_P={clf.K_P}, K_D={clf.K_D}")
+    Q = np.array(clf.Q)
     I4 = np.eye(4)
     lhs = np.kron(A.T, I4) + np.kron(I4, A.T)
-    P = np.linalg.solve(lhs, (-clf.Q).reshape(16)).reshape(4, 4)
+    P = np.linalg.solve(lhs, (-Q).reshape(16)).reshape(4, 4)
     P = 0.5 * (P + P.T)
-    residual = np.max(np.abs(A.T @ P + P @ A + clf.Q))
+    residual = np.max(np.abs(A.T @ P + P @ A + Q))
     if residual > _LYAP_RESIDUAL_TOL:
         raise ArithmeticError(f"Lyapunov solve residual {residual:.3e} exceeds tolerance")
     F = np.block([[Z2, I2], [Z2, Z2]])
     G = np.vstack([Z2, I2])
     H = np.diag([2.0, 2.0, 2.0 * clf.penalty])
     H.setflags(write=False)
-    return ClfData(P_lyap=P, A_cl=A, M=F.T @ P + P @ F, PG=P @ G, H=H)
+    return ClfData(P_lyap=P, Q=Q, M=F.T @ P + P @ F, PG=P @ G, H=H)
 
 
 def clf_terms(e: tuple, d: ClfData) -> tuple[float, float, tuple[float, float]]:
@@ -109,7 +110,7 @@ def clf_cbf_qp_control(z: State, e: tuple, obstacles, cbf: CbfParams, clf: ClfPa
     f, rows, rhs = prob.f, prob.A_ineq.reshape(-1), prob.b_ineq  # views, written in place
     f[0], f[1] = -2.0 * mu_pd[0], -2.0 * mu_pd[1]
     rows[0], rows[1] = LgV
-    rhs[0] = -LfV - float(ea @ clf.Q @ ea)
+    rhs[0] = -LfV - float(ea @ d.Q @ ea)
     m0, m1 = mu_rm
     for i, (bx, by, value) in enumerate(
             barrier_rows(z.x, z.y, z.theta, z.v, obstacles, cbf.gamma1, cbf.gamma2), 2):

@@ -36,7 +36,7 @@ _RULES = {  # name: (violation kind, rule text, holds)
     "finite": ("NonFiniteParameter", "must be finite", math.isfinite),
     "finite matrix": ("NonFiniteParameter", "must be finite", lambda m: np.isfinite(m).all()),
     "symmetric": ("ParameterOutOfRange", "must be symmetric",
-                  lambda m: np.allclose(m, m.T, atol=1e-12, rtol=0.0)),
+                  lambda m: np.allclose(m, np.transpose(m), atol=1e-12, rtol=0.0)),
     "positive definite": ("ParameterOutOfRange", "must be positive definite",
                           lambda m: np.min(np.linalg.eigvalsh(m)) > 0.0),
     "below pi/2": ("ParameterOutOfRange", "must be < pi/2", lambda x: x < math.pi / 2),
@@ -96,24 +96,23 @@ class CbfParams:
     gamma2: Positive = 1.0  # 1/s
 
 
-def _gain_matrix(value: Any, size: int) -> np.ndarray:
-    """Coerce a scalar or nested list to a read-only (size x size) float matrix."""
-    if np.isscalar(value):
-        arr = float(value) * np.eye(size)
-    else:
-        arr = np.array(value, dtype=float)
+def _gain_matrix(value: Any, size: int) -> tuple[tuple[float, ...], ...]:
+    """Coerce a scalar (a multiple of the identity) or a nested list to size rows of floats."""
+    arr = np.array(value, dtype=float)
+    if arr.ndim == 0:
+        arr = np.diag(np.full(size, arr))
     if arr.shape != (size, size):
         raise ValueError(f"expected a scalar or {size}x{size} matrix, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+    return tuple(map(tuple, arr.tolist()))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClfParams:
     """Tracking-controller gains and the QP relaxation penalty.
 
     K_P and K_D may be given as scalars (interpreted as multiples of the
-    2x2 identity) or full 2x2 matrices; Q likewise for the 4x4 case.
+    2x2 identity) or full 2x2 matrices; Q likewise for the 4x4 case. Each is
+    held as a tuple of float rows.
     """
 
     K_P: Spd = 1.0
@@ -124,13 +123,6 @@ class ClfParams:
     def __post_init__(self) -> None:
         for name, size in (("K_P", 2), ("K_D", 2), ("Q", 4)):
             object.__setattr__(self, name, _gain_matrix(getattr(self, name), size))
-        object.__setattr__(self, "penalty", float(self.penalty))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClfParams):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -258,7 +250,8 @@ def validate_scenario(s: Scenario) -> Scenario:
         v.append(Violation("ParameterOutOfRange", "start.v", s.start.v,
                            f"must lie in [0, v_max={s.robot.v_max}]"))
 
-    for i, o in enumerate(s.obstacles):  # an obstacle with a broken field is reported above
+    r_r_ok = not any(x.field == "robot.r_r" for x in failed["robot"])
+    for i, o in enumerate(s.obstacles if r_r_ok else ()):  # broken radii are reported above
         r = combined_radius(o, s.robot)
         if not failed[f"obstacles[{i}]"] and math.hypot(s.start.x - o.x, s.start.y - o.y) < r:
             v.append(Violation("StartInCollision", f"obstacles[{i}]", (o.x, o.y, o.r),
@@ -337,13 +330,11 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 def scenario_to_dict(value: Any) -> Any:
     """Inverse of scenario_from_dict; emits the fully explicit form. Each dataclass
-    becomes a JSON object of its fields, a tuple an array, an ndarray nested lists."""
+    becomes a JSON object of its fields and a tuple an array."""
     if is_dataclass(value):
         return {f.name: scenario_to_dict(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [scenario_to_dict(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     return value
 
 

@@ -96,8 +96,8 @@ def io_linearize(z: State, mu: tuple[float, float], p: RobotParams) -> Control:
 
 def pd_control(e: tuple, clf: ClfParams) -> tuple[float, float]:
     """Error-system PD law mu_pd = [-K_P -K_D] e at the tracking error 4-tuple e."""
-    (p00, p01), (p10, p11) = clf.K_P.tolist()
-    (d00, d01), (d10, d11) = clf.K_D.tolist()
+    (p00, p01), (p10, p11) = clf.K_P
+    (d00, d01), (d10, d11) = clf.K_D
     e0, e1, e2, e3 = e
     return (-(p00 * e0 + p01 * e1) - (d00 * e2 + d01 * e3),
             -(p10 * e0 + p11 * e1) - (d10 * e2 + d11 * e3))

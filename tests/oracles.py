@@ -546,7 +546,7 @@ def reference_barrier_condition(z, ox, oy, r, cbf):
 
 def reference_qp_control(z, e, obstacles, robot, cbf, clf, d, solver, mu_rm=(0.0, 0.0)):
     """The safety-filtered tracking QP, built from Obstacle objects each tick."""
-    kp, kd = clf.K_P, clf.K_D
+    kp, kd = np.asarray(clf.K_P), np.asarray(clf.K_D)
     mu_pd = (float(-(kp[0, 0] * e[0] + kp[0, 1] * e[1]) - (kd[0, 0] * e[2] + kd[0, 1] * e[3])),
              float(-(kp[1, 0] * e[0] + kp[1, 1] * e[1]) - (kd[1, 0] * e[2] + kd[1, 1] * e[3])))
     V, LfV, LgV = clf_terms(e, d)

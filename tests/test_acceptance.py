@@ -140,7 +140,7 @@ def campaign(corpus):
 
 
 def _mean_ok(times, ok_count):
-    """Mean wall time over successful runs (statistics follow the bench rule)."""
+    """Mean wall time over every run, failed ones included; NaN if none succeeded."""
     return math.nan if ok_count == 0 else sum(times) / len(times)
 
 
@@ -285,8 +285,8 @@ def test_criterion_7_lyapunov_synthesis():
         clf = ClfParams(K_P=m1 @ m1.T + 0.3 * np.eye(2),
                         K_D=m2 @ m2.T + 0.3 * np.eye(2))
         data = solve_lyapunov(clf)
-        residual = float(np.max(np.abs(
-            data.A_cl.T @ data.P_lyap + data.P_lyap @ data.A_cl + clf.Q)))
+        A_cl = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.array(clf.K_P), -np.array(clf.K_D)]])
+        residual = float(np.max(np.abs(A_cl.T @ data.P_lyap + data.P_lyap @ A_cl + clf.Q)))
         worst_residual = max(worst_residual, residual)
     ok = identity_err <= 1e-12 and worst_residual <= 1e-10
     detail = (f"identity-gain block error {identity_err:.2e}, "

@@ -302,6 +302,16 @@ def test_main_exit_code_non_finite_gain(tmp_path, capsys):
     assert "NonFiniteParameter: clf.Q" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_exit_code_infinite_scalar_gain(tmp_path, capsys):
+    # a scalar inf gain was inf * eye(2): NaN off the diagonal and a RuntimeWarning
+    path = write_json(tmp_path, dict(MINIMAL, clf={"K_D": 1e300}))
+    path.write_text(path.read_text().replace("1e+300", "1e400"))
+    assert main(["plan", "--planner", "rrt", "--scenario", str(path)]) == 2
+    assert ("NonFiniteParameter: clf.K_D=[[inf, 0.0], [0.0, inf]]"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--dt-ctrl", "nan"],
     ["simulate", "--dt-ctrl", "0"],

@@ -55,7 +55,8 @@ def test_lyapunov_residual_random_gains():
     for _ in range(100):
         clf = ClfParams(K_P=random_spd(rng, 2), K_D=random_spd(rng, 2))
         d = solve_lyapunov(clf)
-        residual = np.max(np.abs(d.A_cl.T @ d.P_lyap + d.P_lyap @ d.A_cl + clf.Q))
+        A_cl = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.array(clf.K_P), -np.array(clf.K_D)]])
+        residual = np.max(np.abs(A_cl.T @ d.P_lyap + d.P_lyap @ A_cl + clf.Q))
         assert residual <= 1e-10
         assert np.min(np.linalg.eigvalsh(d.P_lyap)) > 0.0
 

@@ -197,6 +197,15 @@ def test_validate_start_in_collision():
     assert any(v.kind == "StartInCollision" for v in exc.value.violations)
 
 
+def test_validate_broken_robot_radius_reports_no_start_collision():
+    # r_o + r_r = inf would put the start inside every obstacle
+    s = basic_scenario(robot=RobotParams(r_r=math.inf), obstacles=(Obstacle(3.0, 3.0, 0.5),))
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_scenario(s)
+    assert [(v.kind, v.field) for v in exc.value.violations] == [
+        ("NonPositiveParameter", "robot.r_r")]
+
+
 def test_validate_goal_out_of_bounds():
     s = basic_scenario(goal=State(100.0, 0.0, 0.0, 0.0))
     with pytest.raises(ScenarioValidationError) as exc:
@@ -343,7 +352,14 @@ def test_uncertainty_bounds_validation():
 def test_clf_params_scalar_and_matrix_forms():
     p = ClfParams(K_P=2.0, K_D=[[1.0, 0.0], [0.0, 3.0]])
     assert np.array_equal(p.K_P, 2.0 * np.eye(2))
-    assert p.K_D[1, 1] == 3.0
-    assert p.Q.shape == (4, 4)
+    assert p.K_D[1][1] == 3.0
+    assert np.shape(p.Q) == (4, 4)
     with pytest.raises(ValueError):
         ClfParams(K_P=[[1.0, 0.0]])
+
+
+def test_scenarios_are_hashable_values():
+    a = ClfParams(K_P=2.0, Q=np.eye(4))
+    b = ClfParams(K_P=[[2.0, 0.0], [0.0, 2.0]], Q=1.0)
+    assert a == b and hash(a) == hash(b)
+    assert len({basic_scenario(clf=a), basic_scenario(clf=b)}) == 1

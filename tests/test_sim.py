@@ -11,11 +11,10 @@ import kbfplan
 from kbfplan import sim
 from kbfplan.cli import inject_perception_error, load_bundled_scenario
 from kbfplan.control import clf_terms, solve_lyapunov
-from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
-                          PlanResult, RobotParams, Scenario, State,
-                          UncertaintyBounds, Waypoint, validate_scenario)
+from kbfplan.core import (Bounds, Control, Obstacle, PlannerConfig, PlanResult, Scenario,
+                          State, Waypoint, validate_scenario)
 from kbfplan.dynamics import tracking_error
-from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_cbf_qp, plan_rrt_kbf
+from kbfplan.planners import NoPath, plan_rrt_cbf_qp, plan_rrt_kbf
 from kbfplan.sim import (MAX_TICKS, ControllerInfeasible, TimeBudgetExceeded, Trajectory,
                          TrajectorySample, _PlanReference, follow_path, min_barrier,
                          write_trajectory_csv)
@@ -253,49 +252,6 @@ def test_min_barrier_hand_built():
                          0.0, 0.0),) + samples[1:]
     value, t, j = min_barrier(Trajectory(broken))
     assert math.isnan(value) and (t, j) == (0.02, 1)
-
-
-def test_perceived_vs_true_obstacles_experiment():
-    # plan and control against a mis-perceived obstacle set, audit against the
-    # true one; the robust planner should not do worse than the nominal one
-    base = validate_scenario(Scenario(
-        start=State(0.8, 3.0, 0.0, 0.0),
-        goal=State(5.2, 3.0, 0.0, 0.0),
-        obstacles=(Obstacle(2.7, 3.0, 0.45), Obstacle(4.0, 3.0, 0.45)),
-        bounds=Bounds(0.0, 6.0, 0.0, 6.0),
-        robot=RobotParams(v_max=0.8),
-        cbf=CbfParams(3.0, 3.0),
-        planner=PlannerConfig(dt=0.5, goal_tolerance=0.6, max_iters=200_000),
-    ))
-    bounds = UncertaintyBounds(2.5, 0.2)
-    coll_nominal = coll_robust = 0
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        perceived = inject_perception_error(base, 0.5, 0.25, rng)
-        try:
-            pn = plan_rrt_kbf(perceived, rng)
-        except NoPath:
-            pn = None
-        rng = np.random.default_rng(seed)
-        perceived = inject_perception_error(base, 0.5, 0.25, rng)
-        try:
-            pr = plan_robust_rrt_kbf(perceived, bounds, rng)
-        except NoPath:
-            pr = None
-        for p, counter in ((pn, "n"), (pr, "r")):
-            if p is None:
-                continue
-            try:
-                traj = follow_path(p, base, perceived_obstacles=perceived.obstacles)
-            except (ControllerInfeasible, TimeBudgetExceeded) as exc:
-                traj = exc.trajectory
-            mb = min_barrier(traj)
-            if mb is not None and mb[0] < 0.0:
-                if counter == "n":
-                    coll_nominal += 1
-                else:
-                    coll_robust += 1
-    assert coll_robust <= coll_nominal
 
 
 def test_trajectory_csv_format(tmp_path):
