@@ -283,7 +283,7 @@ def _plan_to_json(result: PlanResult, planner_name: str, seed: int) -> dict:
         "seed": seed,
         "iterations_used": result.iterations_used,
         "wall_time": result.wall_time,
-        "tree_size": len(result.tree_nodes),
+        "tree_size": len(result.nodes),
         "waypoints": [
             {"t": w.t, "x": w.state.x, "y": w.state.y, "theta": w.state.theta,
              "v": w.state.v,

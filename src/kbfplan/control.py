@@ -16,6 +16,7 @@ solution, so the follower logs the value the QP was built from.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +39,23 @@ class InfeasibleSafety(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ClfData:
-    """Synthesized Lyapunov data for one gain setting."""
+    """Synthesized Lyapunov data for one gain setting; every array is read-only,
+    since solve_lyapunov hands the same object to every caller with equal gains."""
 
     P_lyap: np.ndarray  # 4x4, symmetric positive definite
     Q: np.ndarray       # 4x4 weight of the decrease row's e'Qe
     M: np.ndarray       # F'P + PF, cached for the Lie derivative
     PG: np.ndarray      # P G, cached for the input Lie derivative
-    H: np.ndarray       # QP Hessian diag(2, 2, 2*penalty), read-only
+    H: np.ndarray       # QP Hessian diag(2, 2, 2*penalty)
 
 
+@functools.lru_cache(maxsize=8)
 def solve_lyapunov(clf: ClfParams) -> ClfData:
-    """Solve A_cl' P + P A_cl = -Q for P by vectorizing to a 16x16 system."""
+    """Solve A_cl' P + P A_cl = -Q for P by vectorizing to a 16x16 system.
+
+    Memoized per ClfParams (a hashable value), so a follow or plan with the
+    gains of an earlier one does no solve; a rejected setting raises every call.
+    """
     if not 0.0 < clf.penalty < np.inf:  # else the QP Hessian is not positive definite
         raise ValueError(f"penalty must be positive and finite, got {clf.penalty}")
     I2 = np.eye(2)
@@ -68,8 +75,10 @@ def solve_lyapunov(clf: ClfParams) -> ClfData:
     F = np.block([[Z2, I2], [Z2, Z2]])
     G = np.vstack([Z2, I2])
     H = np.diag([2.0, 2.0, 2.0 * clf.penalty])
-    H.setflags(write=False)
-    return ClfData(P_lyap=P, Q=Q, M=F.T @ P + P @ F, PG=P @ G, H=H)
+    arrays = dict(P_lyap=P, Q=Q, M=F.T @ P + P @ F, PG=P @ G, H=H)
+    for a in arrays.values():
+        a.setflags(write=False)
+    return ClfData(**arrays)
 
 
 def clf_terms(e: tuple, d: ClfData) -> tuple[float, float, tuple[float, float]]:

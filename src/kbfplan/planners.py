@@ -92,8 +92,7 @@ def _plan(tree: Tree, leaf: int, iterations: int, started: float,
             t += math.hypot(nodes[i][0] - prev[0], nodes[i][1] - prev[1]) / v_nom
         u = controls[chain[k + 1]] if k + 1 < len(chain) else None
         waypoints.append(Waypoint(t, State(*nodes[i]), None if u is None else Control(*u)))
-    return PlanResult(tuple(waypoints), tuple((n[0], n[1]) for n in nodes),
-                      tuple((tree.parents[i], i) for i in range(1, len(nodes))),
+    return PlanResult(tuple(waypoints), tuple(nodes), tuple(tree.parents),
                       iterations, time.perf_counter() - started)
 
 
@@ -191,9 +190,10 @@ def plan_rrt(s: Scenario, rng: np.random.Generator) -> PlanResult:
     return _grow(s, rng, steer, started, v_nom=v_nom)
 
 
-def block_draws(rng):
-    """(integers, uniform, restore): `rng.integers(0, n)`, 1 <= n < 2**32, and
-    `rng.uniform(lo, hi)` decoded as numpy does; restore() leaves rng as they would."""
+def block_draws(rng, c_max: float, a_max: float):
+    """(draw, restore): draw(n), 1 <= n < 2**32, is `(rng.integers(0, n),
+    rng.uniform(-c_max, c_max), rng.uniform(0, a_max))` decoded as numpy does;
+    restore() leaves rng as those calls would."""
     bg = getattr(rng, "bit_generator", None)
     if bg is not None and not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM,
                                               np.random.Philox, np.random.SFC64)):
@@ -201,40 +201,59 @@ def block_draws(rng):
     # perfbench's TimedRng proxy has no bit_generator: no pending half, no restore
     entry = bg.state if bg is not None else {"has_uint32": 0, "uinteger": 0}
     pending, half = bool(entry["has_uint32"]), entry["uinteger"]
-    words, drawn = [], 0
+    # the current block's words, and each word's top 53 bits as a fraction
+    # mapped to each uniform's range
+    words, cs, accels = [], [], []
+    pos = end = drawn = 0
 
-    def next64():  # blocks of 64, 64, 128, ... up to 4096 words, reversed to pop
-        nonlocal words, drawn
-        if not words:
-            k = min(max(drawn, 64), 4096)
-            drawn += k
-            words = rng.integers(0, 2**64, size=k, dtype=np.uint64).tolist()[::-1]
-        return words.pop()
+    def fetch():  # blocks of 64, 64, 128, ... up to 4096 words, only when one is due
+        nonlocal pos, end, drawn
+        k = min(max(drawn, 64), 4096)
+        drawn += k
+        pos, end = 0, k
+        block = rng.integers(0, 2**64, size=k, dtype=np.uint64)
+        frac = (block >> np.uint64(11)) * 2.0 ** -53
+        words[:] = block.tolist()
+        # uniform(lo, hi) is lo + (hi - lo) * frac, in this order, as numpy computes it
+        cs[:] = (-c_max + (c_max - -c_max) * frac).tolist()
+        accels[:] = (0.0 + a_max * frac).tolist()
 
-    def integers(n):  # Lemire's method on 32-bit draws: the pending high half
-        nonlocal pending, half  # of the last word split, else a fresh low half
-        threshold = 0x100000000 % n  # numpy's (2**32 - n) % n; n == 1 draws nothing
+    def draw(n):
+        nonlocal pos, pending, half
+        # Lemire's method on 32-bit draws: the pending high half of the last
+        # word split, else a fresh low half; n == 1 draws nothing
+        threshold = 0x100000000 % n  # numpy's (2**32 - n) % n
+        i = 0
         while n > 1:
             if pending:
                 u, pending = half, False
             else:
-                w = next64()
+                if pos == end:
+                    fetch()
+                w = words[pos]
                 u, half, pending = w & 0xFFFFFFFF, w >> 32, True
+                pos += 1
             m = u * n
             if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-        return 0
-
-    def uniform(lo, hi):  # lo + (hi - lo) times a word's top 53 bits
-        return lo + (hi - lo) * ((next64() >> 11) * 2.0 ** -53)
+                i = m >> 32
+                break
+        if pos == end:
+            fetch()
+        c = cs[pos]
+        pos += 1
+        if pos == end:
+            fetch()
+        a = accels[pos]
+        pos += 1
+        return i, c, a
 
     def restore():  # pending and half are the bit generator's has_uint32, uinteger
         if bg is not None:
             bg.state = entry
-            bg.random_raw(drawn - len(words), output=False)
+            bg.random_raw(drawn - end + pos, output=False)
             bg.state = {**bg.state, "has_uint32": int(pending), "uinteger": half}
 
-    return integers, uniform, restore
+    return draw, restore
 
 
 def plan_rrt_kbf(s: Scenario, rng: np.random.Generator,
@@ -266,7 +285,7 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     PCG64, PCG64DXSM, Philox or SFC64 bit generators, else TypeError).
     """
     started = time.perf_counter()
-    integers, uniform, restore = block_draws(rng)
+    draw, restore = block_draws(rng, s.robot.c_max, s.robot.a_max)
     tree = Tree(s.start)
     dt = s.planner.dt
     if _goal_reached(s.start.x, s.start.y, s):
@@ -281,18 +300,14 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     xmin, xmax, ymin, ymax = s.bounds.xmin, s.bounds.xmax, s.bounds.ymin, s.bounds.ymax
     gx, gy = s.goal.x, s.goal.y
     tol2 = s.planner.goal_tolerance ** 2
-    cmax = robot.c_max
-    a_max = robot.a_max
     obs = gate_obstacles(s.obstacles, robot)
     d1 = bounds.delta1_max
     d2 = bounds.delta2_max
 
     try:
         for it in range(1, s.planner.max_iters + 1):
-            i = integers(len(nodes))
+            i, c, a = draw(len(nodes))
             x, y, theta, v = nodes[i]
-            c = uniform(-cmax, cmax)
-            a = uniform(0.0, a_max)
             ok = gate_value(x, y, theta, v, c, a, obs, g1, g2, d1, d2) >= 0.0
             if trace is not None:
                 trace.append((i, c, a, ok))

@@ -216,9 +216,8 @@ class ReferenceTree:
         for k, (t, idx) in enumerate(zip(times(chain), chain)):
             control = self.controls[chain[k + 1]] if k + 1 < len(chain) else None
             waypoints.append(Waypoint(t, self.states[idx], control))
-        return PlanResult(tuple(waypoints), tuple((z.x, z.y) for z in self.states),
-                          tuple((self.parents[n], n) for n in range(1, len(self.states))),
-                          iterations, time.perf_counter() - started)
+        return PlanResult(tuple(waypoints), tuple((z.x, z.y, z.theta, z.v) for z in self.states),
+                          tuple(self.parents), iterations, time.perf_counter() - started)
 
 
 def _in_goal(z, s):
@@ -230,7 +229,8 @@ def _in_goal(z, s):
 
 def _start_plan(s, started):
     wp = Waypoint(0.0, s.start, None)
-    return PlanResult((wp,), ((s.start.x, s.start.y),), (), 0,
+    z = s.start
+    return PlanResult((wp,), ((z.x, z.y, z.theta, z.v),), (-1,), 0,
                       time.perf_counter() - started)
 
 

@@ -72,6 +72,20 @@ def test_lyapunov_rejects_a_penalty_without_a_convex_qp(penalty):
         solve_lyapunov(ClfParams(penalty=penalty))
 
 
+def test_lyapunov_is_memoized_per_gain_setting():
+    d = solve_lyapunov(ClfParams(K_P=2.0, Q=3.0))
+    assert solve_lyapunov(ClfParams(K_P=2.0, Q=3.0)) is d
+    for a in (d.P_lyap, d.Q, d.M, d.PG, d.H):  # shared by every caller, so read-only
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+    for _ in range(2):  # a rejected setting raises on every call, not only the first
+        with pytest.raises(NotHurwitz):
+            solve_lyapunov(ClfParams(K_P=-1.0, K_D=1.0))
+        with pytest.raises(ValueError, match="penalty"):
+            solve_lyapunov(ClfParams(penalty=0.0))
+
+
 def test_clf_terms_examples():
     d = solve_lyapunov(ClfParams())
     assert clf_terms((0, 0, 0, 0), d) == (0.0, 0.0, (0.0, 0.0))

@@ -322,30 +322,26 @@ def same_state(a, b):
 
 @settings(max_examples=80, deadline=None)
 @given(bit_generator=st.sampled_from(BIT_GENERATORS), seed=st.integers(0, 2**32 - 1),
-       pre=st.integers(0, 3),
-       ops=st.lists(st.one_of(
+       pre=st.integers(0, 3), c_max=st.floats(1e-3, 10.0), a_max=st.floats(1e-3, 10.0),
+       ns=st.lists(st.one_of(
            st.just(1),                                  # integers(0, 1) draws nothing
            st.integers(2, 5000),
            st.integers(2**31 - 3000, 2**31 + 3000),     # above 2**31 about half reject
-           st.integers(2, 2**32 - 1),
-           st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 10.0))),  # uniform(lo, lo + w)
+           st.integers(2, 2**32 - 1)),
            max_size=300))
-@example(bit_generator=np.random.PCG64, seed=7, pre=1,
-         ops=[1, 1, 1, (0.0, 1.0), 1, 3, 1, 1, 2**31 + 5, (-1.0, 2.0), 2**31 + 5, 1])
-def test_block_draws_match_scalar_generator_calls(bit_generator, seed, pre, ops):
+@example(bit_generator=np.random.PCG64, seed=7, pre=1, c_max=0.6, a_max=1.5,
+         ns=[1, 1, 1, 1, 3, 1, 1, 2**31 + 5, 2**31 + 5, 1])
+def test_block_draws_match_scalar_generator_calls(bit_generator, seed, pre, c_max, a_max, ns):
     # an odd number of integers(0, 7) calls leaves a pending 32-bit half
     scalar = np.random.Generator(bit_generator(seed))
     blocked = np.random.Generator(bit_generator(seed))
     for g in (scalar, blocked):
         for _ in range(pre):
             g.integers(0, 7)
-    integers, uniform, restore = block_draws(blocked)
-    for op in ops:
-        if isinstance(op, int):
-            assert integers(op) == scalar.integers(0, op)
-        else:
-            lo, width = op
-            assert uniform(lo, lo + width) == scalar.uniform(lo, lo + width)
+    draw, restore = block_draws(blocked, c_max, a_max)
+    for n in ns:
+        assert draw(n) == (scalar.integers(0, n), scalar.uniform(-c_max, c_max),
+                           scalar.uniform(0, a_max))
     restore()
     assert same_state(blocked.bit_generator.state, scalar.bit_generator.state)
     assert blocked.integers(0, 2**40) == scalar.integers(0, 2**40)
@@ -365,11 +361,13 @@ class FixedWords:
 def test_block_draws_accept_a_low_half_equal_to_the_threshold():
     # n = 3: numpy rejects while (u * 3) mod 2**32 < 2**32 mod 3 = 1. The first
     # word's low half 0 is rejected; its high half 0xAAAAAAAB gives exactly 1,
-    # which numpy accepts, and 0xAAAAAAAB * 3 >> 32 = 2
-    integers, uniform, restore = block_draws(FixedWords([0xAAAAAAAB << 32, 5 << 32 | 7]))
-    assert integers(3) == 2
-    assert integers(2**32 - 1) == 6   # the next word's low half: 7 * (2**32 - 1) >> 32
-    assert integers(2**32 - 1) == 4   # then its pending high half
+    # which numpy accepts, and 0xAAAAAAAB * 3 >> 32 = 2. Each uniform takes a
+    # whole word: 0 maps to the low end, 2**63 to the middle
+    draw, restore = block_draws(
+        FixedWords([0xAAAAAAAB << 32, 0, 1 << 63, 5 << 32 | 7, 1 << 63]), 1.0, 2.0)
+    assert draw(3) == (2, -1.0, 1.0)
+    assert draw(2**32 - 1) == (6, 0.0, 0.0)   # the next word's low half: 7 * (2**32 - 1) >> 32
+    assert draw(2**32 - 1) == (4, -1.0, 0.0)  # then its pending high half
     restore()
 
 
@@ -512,6 +510,20 @@ def test_plan_dispatch_names():
         plan(name, s, np.random.default_rng(0))
     with pytest.raises(ValueError):
         plan("dijkstra", s, rng)
+
+
+@pytest.mark.parametrize("name", planners.PLANNER_NAMES)
+def test_plan_result_tree_views(name):
+    start_in_goal = open_scenario(goal=(1.0, 0.6), tol=0.8)
+    for s in (open_scenario(goal=(2.0, 0.5)), start_in_goal):
+        r = plan(name, s, np.random.default_rng(3))
+        assert r.parents[0] == -1
+        assert r.tree_nodes == tuple(n[:2] for n in r.nodes)
+        assert r.tree_edges == tuple(zip(r.parents[1:], range(1, len(r.nodes))))
+        assert hash(r) == hash(dataclasses.replace(r))  # PlanResult stays a hashable value
+    z = start_in_goal.start  # r is now the start-in-goal plan: the root alone
+    assert r.nodes == ((z.x, z.y, z.theta, z.v),)
+    assert r.tree_edges == ()
 
 
 def test_start_inside_goal_region_trivial_plan(monkeypatch):

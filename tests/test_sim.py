@@ -27,8 +27,8 @@ def straight_line_setup(v=0.9, length=3.0, dt=0.5):
         waypoints.append(Waypoint(k * dt, State(k * v * dt, 0.0, 0.0, v),
                                   Control(0.0, 0.0) if k < n else None))
     plan = PlanResult(tuple(waypoints),
-                      tuple((w.state.x, w.state.y) for w in waypoints),
-                      tuple((k, k + 1) for k in range(n)), n, 0.0)
+                      tuple((w.state.x, w.state.y, w.state.theta, w.state.v) for w in waypoints),
+                      (-1, *range(n)), n, 0.0)
     goal = waypoints[-1].state
     scenario = validate_scenario(Scenario(
         start=State(0.0, 0.0, 0.0, v),
