@@ -16,8 +16,8 @@ from .safety import barrier_value, kbf_check, robust_worst_value
 from .planners import (NoPath, PLANNER_NAMES, Tree, plan, plan_robust_rrt_kbf,
                        plan_rrt, plan_rrt_cbf_qp, plan_rrt_kbf,
                        point_segment_distance, segment_collision)
-from .sim import (ControllerInfeasible, TimeBudgetExceeded, Trajectory,
+from .sim import (ControllerInfeasible, FollowFailure, TimeBudgetExceeded, Trajectory,
                   TrajectorySample, follow_path, min_barrier,
                   write_trajectory_csv)
-from .cli import (BenchReport, BenchRow, RunRecord, emit_svg,
-                  inject_perception_error, load_scenario, run_bench)
+from .cli import (BenchReport, BenchRow, emit_svg, inject_perception_error,
+                  load_scenario, run_bench)

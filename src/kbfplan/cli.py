@@ -26,9 +26,8 @@ from .core import (Obstacle, ParseError, PlanResult, Scenario,
                    ScenarioValidationError, UncertaintyBounds, combined_radius,
                    scenario_from_dict, scenario_to_dict, validate_scenario)
 from .planners import CBF_QP_BASELINE_NOTE, PLANNER_NAMES, NoPath, plan
-from .sim import (BUDGET_MARGIN, DT_CTRL_DEFAULT, MAX_TICKS, ControllerInfeasible,
-                  TimeBudgetExceeded, Trajectory, follow_path, min_barrier,
-                  write_trajectory_csv)
+from .sim import (BUDGET_MARGIN, DT_CTRL_DEFAULT, MAX_TICKS, FollowFailure, Trajectory,
+                  follow_path, min_barrier, write_trajectory_csv)
 
 # m^2: a true barrier below this is a safety violation, not round-off at a
 # touching boundary
@@ -98,15 +97,6 @@ def inject_perception_error(s: Scenario, pos_err: float, radius_err: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RunRecord:
-    seed: int
-    success: bool
-    wall_s: float
-    path_len_m: float      # nan on failure
-    clearance_m: float     # nan on failure
-
-
-@dataclass(frozen=True)
 class BenchRow:
     planner: str
     scenario: str
@@ -125,58 +115,42 @@ BENCH_CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 @dataclass(frozen=True)
 class BenchReport:
     rows: tuple[BenchRow, ...]
-    records: dict  # (planner, scenario) -> list[RunRecord]; not serialized
     fingerprint: str
 
 
-def _run_one(planner_name: str, scenario: Scenario, seed: int,
-             bounds: UncertaintyBounds) -> RunRecord:
-    rng = np.random.default_rng(seed)
-    tick = time.perf_counter()
-    try:
-        result = plan(planner_name, scenario, rng, bounds=bounds)
-    except NoPath:
-        return RunRecord(seed, False, time.perf_counter() - tick, math.nan, math.nan)
-    wall = time.perf_counter() - tick
-    return RunRecord(seed, True, wall, result.path_length(),
-                     result.min_clearance(scenario))
-
-
-def _aggregate(planner: str, scenario: str, records: list[RunRecord]) -> BenchRow:
-    ok = [r for r in records if r.success]
-    if ok:
-        times = [r.wall_s for r in ok]
-        mean_s = statistics.fmean(times)
-        median_s = statistics.median(times)
-        std_s = statistics.stdev(times) if len(times) > 1 else 0.0
-        mean_len = statistics.fmean(r.path_len_m for r in ok)
-        mean_clear = statistics.fmean(r.clearance_m for r in ok)
-    else:
-        mean_s = median_s = std_s = mean_len = mean_clear = math.nan
-    return BenchRow(planner, scenario, len(records), len(ok),
-                    mean_s, median_s, std_s, mean_len, mean_clear)
+def _bench_row(planner_name: str, name: str, scenario: Scenario, seeds: range,
+               bounds: UncertaintyBounds) -> BenchRow:
+    """Plan once per seed, timing the planning call only; the statistics are
+    over the successful runs, and failures only show up in the success count."""
+    times, lengths, clearances = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        tick = time.perf_counter()
+        try:
+            result = plan(planner_name, scenario, rng, bounds=bounds)
+        except NoPath:
+            continue
+        times.append(time.perf_counter() - tick)
+        lengths.append(result.path_length())
+        clearances.append(result.min_clearance(scenario))
+    if not times:
+        return BenchRow(planner_name, name, len(seeds), 0, *[math.nan] * 5)
+    return BenchRow(planner_name, name, len(seeds), len(times), statistics.fmean(times),
+                    statistics.median(times),
+                    statistics.stdev(times) if len(times) > 1 else 0.0,
+                    statistics.fmean(lengths), statistics.fmean(clearances))
 
 
 def run_bench(scenarios, planners, runs: int, seed_base: int = 0,
               bounds: UncertaintyBounds = UncertaintyBounds()) -> BenchReport:
     """Run each (planner, scenario) pair `runs` times with seeds
-    seed_base..seed_base+runs-1, timing the planning call only.
-
-    `scenarios` is a list of (name, Scenario) pairs. Statistics are over
-    successful runs; failures only show up in the success count.
-    """
-    records: dict = {}
-    rows = []
-    for planner_name in planners:
-        for name, scenario in scenarios:
-            recs = [_run_one(planner_name, scenario, seed_base + k, bounds)
-                    for k in range(runs)]
-            records[(planner_name, name)] = recs
-            rows.append(_aggregate(planner_name, name, recs))
-
+    seed_base..seed_base+runs-1. `scenarios` is a list of (name, Scenario) pairs."""
+    seeds = range(seed_base, seed_base + runs)
+    rows = tuple(_bench_row(planner_name, name, scenario, seeds, bounds)
+                 for planner_name in planners for name, scenario in scenarios)
     fingerprint = (f"kbfplan {__version__} | python {platform.python_version()} "
                    f"| {platform.machine()} | seed_base {seed_base}")
-    return BenchReport(tuple(rows), records, fingerprint)
+    return BenchReport(rows, fingerprint)
 
 
 def write_bench_csv(report: BenchReport, path) -> None:
@@ -300,16 +274,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Safety-critical kinodynamic planning and path-following toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, planner=True):
+    def common(p):
         p.add_argument("--scenario", required=True,
                        help="scenario file path or bundled name "
                             f"({', '.join(bundled_scenario_names() or ['none bundled'])})")
-        if planner:
-            p.add_argument("--planner", default="rrt-kbf", choices=PLANNER_NAMES)
-            p.add_argument("--delta1", type=float, default=0.0,
-                           help="additive uncertainty bound for robust-rrt-kbf")
-            p.add_argument("--delta2", type=float, default=0.0,
-                           help="multiplicative uncertainty bound in [0, 1)")
+        p.add_argument("--planner", default="rrt-kbf", choices=PLANNER_NAMES)
+        p.add_argument("--delta1", type=float, default=0.0,
+                       help="additive uncertainty bound for robust-rrt-kbf")
+        p.add_argument("--delta2", type=float, default=0.0,
+                       help="multiplicative uncertainty bound in [0, 1)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: scenario's planner.seed)")
 
@@ -352,16 +325,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_plan(args) -> int:
-    name, scenario = _resolve_scenario(args.scenario)
+def _planned(args, name: str, scenario: Scenario, pos_err=0.0, radius_err=0.0):
+    """(seed, perceived scenario, plan) of --planner from --seed (default: the
+    scenario's), the obstacles first mis-perceived by draws from the planner's
+    rng when an error is given. A NoPath is reported here, then raised."""
     seed = args.seed if args.seed is not None else scenario.planner.seed
     rng = np.random.default_rng(seed)
-    bounds = UncertaintyBounds(args.delta1, args.delta2)
+    perceived = scenario
+    if pos_err != 0.0 or radius_err != 0.0:
+        perceived = inject_perception_error(scenario, pos_err, radius_err, rng)
     try:
-        result = plan(args.planner, scenario, rng, bounds=bounds)
+        return seed, perceived, plan(args.planner, perceived, rng,
+                                     bounds=UncertaintyBounds(args.delta1, args.delta2))
     except NoPath as exc:
         print(f"{args.planner} on {name}: no path ({exc})", file=sys.stderr)
-        return 1
+        raise
+
+
+def _cmd_plan(args) -> int:
+    name, scenario = _resolve_scenario(args.scenario)
+    seed, _, result = _planned(args, name, scenario)
     print(f"{args.planner} on {name}: reached goal in {result.iterations_used} "
           f"iterations, {len(result.waypoints)} waypoints, "
           f"{result.path_length():.2f} m, {result.wall_time:.3f} s")
@@ -380,21 +363,11 @@ def _cmd_simulate(args) -> int:
     if not BUDGET_MARGIN / MAX_TICKS <= args.dt_ctrl < math.inf:  # checked before planning
         raise ValueError(f"--dt-ctrl must be finite and at least BUDGET_MARGIN / MAX_TICKS = "
                          f"{BUDGET_MARGIN / MAX_TICKS:g} s, got {args.dt_ctrl:g}")
-    seed = args.seed if args.seed is not None else scenario.planner.seed
-    rng = np.random.default_rng(seed)
-    perceived = scenario
-    if args.pos_err != 0.0 or args.radius_err != 0.0:
-        perceived = inject_perception_error(scenario, args.pos_err, args.radius_err, rng)
-    bounds = UncertaintyBounds(args.delta1, args.delta2)
-    try:
-        result = plan(args.planner, perceived, rng, bounds=bounds)
-    except NoPath as exc:
-        print(f"{args.planner} on {name}: no path ({exc})", file=sys.stderr)
-        return 1
+    _, perceived, result = _planned(args, name, scenario, args.pos_err, args.radius_err)
     try:
         traj = follow_path(result, scenario, dt_ctrl=args.dt_ctrl,
                            perceived_obstacles=perceived.obstacles)
-    except (ControllerInfeasible, TimeBudgetExceeded) as exc:
+    except FollowFailure as exc:
         print(f"follower failed on {name}: {exc}", file=sys.stderr)
         return 1
     worst = min_barrier(traj)
@@ -415,6 +388,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     names = args.scenario or bundled_scenario_names()
     scenarios = [_resolve_scenario(tok) for tok in names]
     planners = args.planner or ["rrt", "rrt-kbf", "rrt-cbf-qp"]
@@ -450,6 +425,8 @@ def main(argv=None) -> int:
                 "bench": _cmd_bench, "inject": _cmd_inject}
     try:
         return handlers[args.command](args)
+    except NoPath:  # reported by _planned, which knows the scenario's name
+        return 1
     except (ValueError, OSError) as exc:  # input errors: bad values, unreadable paths
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,9 +27,9 @@ class UnsupportedBound(ValueError):
     """Uncertainty bounds outside the supported range."""
 
 
-# Each scenario field's domain, declared on its annotation as the names of rules
-# that validate_scenario checks in order. Names, not functions: typing caches each
-# Annotated alias, and a cached function would keep its module alive on re-import.
+# Each field's domain, declared on its annotation as the names of rules that validate_scenario
+# (or UncertaintyBounds, at construction) checks in order. Names, not functions: typing caches
+# each Annotated alias, and a cached function would keep its module alive on re-import.
 _RULES = {  # name: (violation kind, rule text, holds)
     "positive": ("NonPositiveParameter", "must be finite and > 0",
                  lambda x: math.isfinite(x) and x > 0.0),
@@ -40,6 +40,9 @@ _RULES = {  # name: (violation kind, rule text, holds)
     "positive definite": ("ParameterOutOfRange", "must be positive definite",
                           lambda m: np.min(np.linalg.eigvalsh(m)) > 0.0),
     "below pi/2": ("ParameterOutOfRange", "must be < pi/2", lambda x: x < math.pi / 2),
+    "nonnegative": ("UnsupportedBound", "must be finite and >= 0", lambda x: 0.0 <= x < math.inf),
+    # a multiplicative bound >= 1 flips the sign of the worst-case row
+    "fraction": ("UnsupportedBound", "must lie in [0, 1)", lambda x: 0.0 <= x < 1.0),
 }
 Positive = Annotated[float, "positive"]
 Finite = Annotated[float, "finite"]
@@ -129,15 +132,12 @@ class ClfParams:
 class UncertaintyBounds:
     """Box bounds on the additive / multiplicative model-mismatch terms."""
 
-    delta1_max: float = 0.0  # additive acceleration error bound, m/s^2
-    delta2_max: float = 0.0  # multiplicative error bound, dimensionless fraction
+    delta1_max: Annotated[float, "nonnegative"] = 0.0  # additive acceleration error bound, m/s^2
+    delta2_max: Annotated[float, "fraction"] = 0.0  # multiplicative error bound
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta1_max) and self.delta1_max >= 0.0):
-            raise UnsupportedBound(f"delta1_max must be finite and >= 0, got {self.delta1_max}")
-        if not (math.isfinite(self.delta2_max) and 0.0 <= self.delta2_max < 1.0):
-            # a multiplicative bound >= 1 flips the sign of the worst-case row
-            raise UnsupportedBound(f"delta2_max must lie in [0, 1), got {self.delta2_max}")
+        if v := _field_violations(self, "UncertaintyBounds"):
+            raise UnsupportedBound("; ".join(f"{x.field} {x.rule}, got {x.value}" for x in v))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_MAX_ITER = 100     # working-set changes a cold solve makes before ITER_LIMIT
 _VIOL_TOL = 1e-10   # constraint slack treated as satisfied
 _Z_TOL = 1e-12      # primal step direction considered zero below this
 _R_TOL = 1e-12      # dual direction entries considered nonpositive below this
@@ -87,9 +88,7 @@ class ActiveSetQp:
     cost a single KKT solve. Instances must not be shared across threads.
     """
 
-    def __init__(self, max_iter: int = 100):
-        self.max_iter = max_iter
-        self._warm: tuple[int, ...] = ()
+    _warm: tuple[int, ...] = ()  # working set of the last optimal solve
 
     def solve(self, prob: QpProblem) -> QpSolution:
         H, H_inv, A, b = prob.H, prob.H_inv, prob.A_ineq, prob.b_ineq
@@ -123,7 +122,7 @@ class ActiveSetQp:
             n_p = -A[p]  # inward normal of the incoming constraint
             lam_p = 0.0
             while True:
-                if changes >= self.max_iter:
+                if changes >= _MAX_ITER:
                     return QpSolution(None, QpStatus.ITER_LIMIT, tuple(W), tuple(lam), changes)
                 hn = H_inv @ n_p
                 if W:

@@ -23,8 +23,8 @@ from .qp import ActiveSetQp
 from .safety import barrier_value
 
 DT_CTRL_DEFAULT = 0.02  # s
-MAX_TICKS = 10**6       # follow_path takes a time budget of 0 to MAX_TICKS ticks
-BUDGET_MARGIN = 10.0    # s, the default time budget is the plan's duration plus this
+MAX_TICKS = 10**6       # follow_path takes a time budget of at most MAX_TICKS ticks
+BUDGET_MARGIN = 10.0    # s, the time budget is the plan's duration plus this
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,24 @@ class Trajectory:
     samples: tuple[TrajectorySample, ...]
 
 
-class ControllerInfeasible(RuntimeError):
-    """The per-tick safety QP became infeasible; carries the partial run."""
+class FollowFailure(RuntimeError):
+    """The follow stopped short of the goal at time t; carries the partial run.
+    Each kind of failure names its cause in `message`, formatted with t."""
 
     def __init__(self, t: float, trajectory: Trajectory):
-        super().__init__(f"controller infeasible at t={t:.3f}s")
+        super().__init__(self.message.format(t))
         self.t = t
         self.trajectory = trajectory
 
 
-class TimeBudgetExceeded(RuntimeError):
+class ControllerInfeasible(FollowFailure):
+    """The per-tick safety QP became infeasible."""
+    message = "controller infeasible at t={:.3f}s"
+
+
+class TimeBudgetExceeded(FollowFailure):
     """The plant failed to reach the goal region within the time budget."""
-
-    def __init__(self, t: float, trajectory: Trajectory):
-        super().__init__(f"goal not reached within {t:.3f}s")
-        self.t = t
-        self.trajectory = trajectory
+    message = "goal not reached within {:.3f}s"
 
 
 class ClosedLoop:
@@ -123,7 +125,7 @@ class _PlanReference:
         """(pos, vel, acc) of the reference at time t."""
         if t <= 0.0:
             return ((self.px[0], self.py[0]), (self.vx[0], self.vy[0]), (0.0, 0.0))
-        if t >= self.duration or len(self.times) == 1:
+        if t >= self.duration:
             return ((self.px[-1], self.py[-1]), (0.0, 0.0), (0.0, 0.0))
         k = bisect.bisect_right(self.times, t) - 1
         span = self.times[k + 1] - self.times[k]
@@ -138,23 +140,21 @@ class _PlanReference:
 
 
 def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
-                perceived_obstacles=None, time_budget: float | None = None) -> Trajectory:
+                perceived_obstacles=None) -> Trajectory:
     """Track a plan with the safety-filtered QP controller on the true plant.
 
     The controller's barrier rows use `perceived_obstacles` (defaults to the
     scenario's true set); recorded barrier values always use the true set.
     Terminates when the plant enters the goal region. Raises
     ControllerInfeasible if the safety QP fails and TimeBudgetExceeded when
-    the budget (plan duration + BUDGET_MARGIN by default) runs out; both carry
-    the partial trajectory. Raises ValueError for a bad dt_ctrl or time_budget.
+    the budget (plan duration + BUDGET_MARGIN) runs out; both are FollowFailures
+    carrying the partial trajectory. Raises ValueError for a bad dt_ctrl.
     """
     ref = _PlanReference(plan, (s.goal.x, s.goal.y))
     if not 0.0 < dt_ctrl < math.inf:
         raise ValueError(f"dt_ctrl must be positive and finite, got {dt_ctrl}")
-    budget = ref.duration + BUDGET_MARGIN if time_budget is None else time_budget
-    if not 0.0 <= budget <= MAX_TICKS * dt_ctrl:
-        if time_budget is not None:
-            raise ValueError(f"time_budget {time_budget} is not in [0, MAX_TICKS * dt_ctrl]")
+    budget = ref.duration + BUDGET_MARGIN
+    if not budget <= MAX_TICKS * dt_ctrl:
         least = budget / MAX_TICKS  # rounded up, if need be, so that it fits
         least = least if MAX_TICKS * least >= budget else math.nextafter(least, math.inf)
         raise ValueError(f"dt_ctrl {dt_ctrl} is too short for the default time budget "

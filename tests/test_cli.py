@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -18,7 +19,7 @@ from kbfplan.cli import (BENCH_CSV_HEADER, bundled_scenario_names, emit_svg,
                          load_bundled_scenario, load_scenario, main, run_bench,
                          write_bench_csv)
 from kbfplan.core import ParseError, Scenario, UncertaintyBounds, validate_scenario
-from kbfplan.planners import plan, plan_rrt
+from kbfplan.planners import NoPath, plan, plan_rrt
 from kbfplan.sim import BUDGET_MARGIN, MAX_TICKS, follow_path
 
 
@@ -120,17 +121,14 @@ def test_inject_clamps_radius_positive():
 
 def test_bench_deterministic_non_timing_fields():
     scenarios = [("scenario1", load_bundled_scenario("scenario1"))]
-    r1 = run_bench(scenarios, ["rrt"], runs=3, seed_base=7)
-    r2 = run_bench(scenarios, ["rrt"], runs=3, seed_base=7)
-    rec1 = r1.records[("rrt", "scenario1")]
-    rec2 = r2.records[("rrt", "scenario1")]
-    assert [x.success for x in rec1] == [x.success for x in rec2]
-    assert [x.path_len_m for x in rec1] == [x.path_len_m for x in rec2]
-    assert [x.clearance_m for x in rec1] == [x.clearance_m for x in rec2]
-    row1 = r1.rows[0]
-    row2 = r2.rows[0]
-    assert (row1.successes, row1.mean_len_m, row1.mean_clearance_m) \
-        == (row2.successes, row2.mean_len_m, row2.mean_clearance_m)
+    report = run_bench(scenarios, ["rrt", "rrt-kbf", "robust-rrt-kbf"], runs=3, seed_base=7,
+                       bounds=UncertaintyBounds(0.4, 0.3))
+    # every column but the wall times, bit for bit
+    assert [(r.planner, r.scenario, r.runs, r.successes, r.mean_len_m, r.mean_clearance_m)
+            for r in report.rows] == [
+        ("rrt", "scenario1", 3, 3, 5.270543619314561, 0.16450114987690911),
+        ("rrt-kbf", "scenario1", 3, 3, 4.394916035428188, 0.28815244029368475),
+        ("robust-rrt-kbf", "scenario1", 3, 3, 4.161890364142532, 0.4000155735383371)]
 
 
 def read_rows(path):
@@ -155,9 +153,28 @@ def test_bench_robust_bounds_forwarded():
     r0 = run_bench(scenarios, ["robust-rrt-kbf"], runs=2, seed_base=0)
     r1 = run_bench(scenarios, ["robust-rrt-kbf"], runs=2, seed_base=0,
                    bounds=UncertaintyBounds(0.4, 0.3))
-    a = r0.records[("robust-rrt-kbf", "scenario1")]
-    b = r1.records[("robust-rrt-kbf", "scenario1")]
-    assert [x.path_len_m for x in a] != [x.path_len_m for x in b]
+    assert r0.rows[0].mean_len_m != r1.rows[0].mean_len_m
+
+
+def test_bench_statistics_cover_only_successful_runs():
+    s = load_bundled_scenario("scenario1")
+    s = dataclasses.replace(s, planner=dataclasses.replace(s.planner, max_iters=1500))
+    ok = []
+    for seed in range(6):
+        try:
+            ok.append(plan("rrt-kbf", s, np.random.default_rng(seed)))
+        except NoPath:
+            pass
+    assert len(ok) == 4  # seeds 2 and 3 run out of iterations
+    row, = run_bench([("scenario1", s)], ["rrt-kbf"], runs=6).rows
+    assert (row.runs, row.successes) == (6, 4)
+    assert row.mean_len_m == statistics.fmean(r.path_length() for r in ok)
+    assert row.mean_clearance_m == statistics.fmean(r.min_clearance(s) for r in ok)
+    # no success leaves every statistic NaN
+    s = dataclasses.replace(s, planner=dataclasses.replace(s.planner, max_iters=100))
+    row, = run_bench([("scenario1", s)], ["rrt-kbf"], runs=2).rows
+    assert (row.runs, row.successes) == (2, 0)
+    assert all(math.isnan(x) for x in dataclasses.astuple(row)[4:])
 
 
 def circle_count(path):
@@ -320,6 +337,8 @@ def test_main_exit_code_infinite_scalar_gain(tmp_path, capsys):
     ["simulate", "--radius-err", "nan"],
     ["inject", "--pos-err", "nan"],
     ["inject", "--radius-err", "inf"],
+    ["bench", "--runs", "0"],
+    ["bench", "--runs", "-3"],
 ])
 def test_main_exit_code_bad_magnitude(tmp_path, capsys, argv):
     out = tmp_path / "out"

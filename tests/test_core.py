@@ -341,12 +341,12 @@ def test_uncertainty_bounds_validation():
     UncertaintyBounds(0.0, 0.0)
     UncertaintyBounds(3.0, 0.99)
     from kbfplan.core import UnsupportedBound
-    with pytest.raises(UnsupportedBound):
-        UncertaintyBounds(-0.1, 0.0)
-    with pytest.raises(UnsupportedBound):
-        UncertaintyBounds(0.0, 1.0)
-    with pytest.raises(UnsupportedBound):
-        UncertaintyBounds(0.0, 30.0)
+    for bad in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(UnsupportedBound, match=r"\.delta1_max must be finite and >= 0"):
+            UncertaintyBounds(bad, 0.0)
+    for bad in (-0.1, math.nan, math.inf, 1.0, 30.0):
+        with pytest.raises(UnsupportedBound, match=r"\.delta2_max must lie in \[0, 1\)"):
+            UncertaintyBounds(0.0, bad)
 
 
 def test_clf_params_scalar_and_matrix_forms():

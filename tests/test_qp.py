@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import objective, random_qp, solve_qp_enumeration
 
+from kbfplan import qp
 from kbfplan.qp import ActiveSetQp, QpProblem, QpStatus
 
 
@@ -114,12 +115,13 @@ def test_infeasible_detection():
     assert sol.x is None
 
 
-def test_iteration_limit_reported():
+def test_iteration_limit_reported(monkeypatch):
+    monkeypatch.setattr(qp, "_MAX_ITER", 0)
     H = np.eye(2)
     f = np.array([-10.0, -10.0])
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 1.0, 1.5])
-    sol = ActiveSetQp(max_iter=0).solve(QpProblem(H, f, A, b))
+    sol = ActiveSetQp().solve(QpProblem(H, f, A, b))
     assert sol.status is QpStatus.ITER_LIMIT
 
 

@@ -15,9 +15,9 @@ from kbfplan.core import (Bounds, Control, Obstacle, PlannerConfig, PlanResult, 
                           State, Waypoint, validate_scenario)
 from kbfplan.dynamics import tracking_error
 from kbfplan.planners import NoPath, plan_rrt_cbf_qp, plan_rrt_kbf
-from kbfplan.sim import (MAX_TICKS, ControllerInfeasible, TimeBudgetExceeded, Trajectory,
-                         TrajectorySample, _PlanReference, follow_path, min_barrier,
-                         write_trajectory_csv)
+from kbfplan.sim import (MAX_TICKS, ControllerInfeasible, FollowFailure, TimeBudgetExceeded,
+                         Trajectory, TrajectorySample, _PlanReference, follow_path,
+                         min_barrier, write_trajectory_csv)
 
 
 def straight_line_setup(v=0.9, length=3.0, dt=0.5):
@@ -100,24 +100,19 @@ def test_follow_rejects_bad_control_period(dt_ctrl):
         follow_path(plan, scenario, dt_ctrl=dt_ctrl)
 
 
-@pytest.mark.parametrize("time_budget", [math.nan, math.inf, -1.0])
-def test_follow_rejects_bad_time_budget(time_budget):
+def test_follow_caps_the_tick_count(monkeypatch):
     plan, scenario = straight_line_setup()
-    with pytest.raises(ValueError, match="time_budget"):
-        follow_path(plan, scenario, time_budget=time_budget)
-
-
-def test_follow_caps_the_tick_count():
-    plan, scenario = straight_line_setup()
-    # the default budget (plan duration + 10 s) is about 1e8 ticks of 1e-7 s
+    # the budget (plan duration + 10 s) is about 1e8 ticks of 1e-7 s
     with pytest.raises(ValueError, match="MAX_TICKS"):
         follow_path(plan, scenario, dt_ctrl=1e-7)
+    # the period the message names is the least that fits the budget in MAX_TICKS ticks
+    monkeypatch.setattr(sim, "MAX_TICKS", 100)
+    with pytest.raises(ValueError, match=r"MAX_TICKS = 100 ticks need dt_ctrl >= (\S+)$") as exc:
+        follow_path(plan, scenario, dt_ctrl=0.1)
+    least = float(exc.value.args[0].rsplit(" ", 1)[1])
     with pytest.raises(ValueError, match="MAX_TICKS"):
-        follow_path(plan, scenario, time_budget=MAX_TICKS * 0.02 * 1.001)
-    # budgets of 0 to MAX_TICKS ticks are taken
-    follow_path(plan, scenario, time_budget=MAX_TICKS * 0.02)
-    with pytest.raises(TimeBudgetExceeded):
-        follow_path(plan, scenario, time_budget=0.0)
+        follow_path(plan, scenario, dt_ctrl=math.nextafter(least, 0.0))
+    assert follow_path(plan, scenario, dt_ctrl=least).samples
 
 
 def test_replay_determinism():
@@ -231,6 +226,8 @@ def test_nan_obstacle_row_fails_closed():
     with pytest.raises(ControllerInfeasible) as exc:
         follow_path(plan, scenario, perceived_obstacles=(Obstacle(math.nan, 1.0, 0.2),))
     assert exc.value.t == 0.0 and exc.value.trajectory.samples == ()
+    assert isinstance(exc.value, FollowFailure)
+    assert str(exc.value) == "controller infeasible at t=0.000s"
 
 
 def test_min_barrier_no_obstacles():
@@ -270,8 +267,12 @@ def test_trajectory_csv_format(tmp_path):
     assert float(row[1]) == pytest.approx(traj.samples[row_idx - 1].state.x, rel=1e-11)
 
 
-def test_time_budget_raises_with_partial_trajectory():
+def test_time_budget_raises_with_partial_trajectory(monkeypatch):
     plan, scenario = straight_line_setup()
+    duration = _PlanReference(plan, (scenario.goal.x, scenario.goal.y)).duration
+    monkeypatch.setattr(sim, "BUDGET_MARGIN", 0.11 - duration)  # a budget of 0.11 s
     with pytest.raises(TimeBudgetExceeded) as exc:
-        follow_path(plan, scenario, time_budget=0.1)
-    assert len(exc.value.trajectory.samples) >= 1
+        follow_path(plan, scenario)
+    assert isinstance(exc.value, FollowFailure)
+    assert str(exc.value) == "goal not reached within 0.120s"
+    assert exc.value.t == pytest.approx(0.12) and len(exc.value.trajectory.samples) == 6
