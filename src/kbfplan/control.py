@@ -37,16 +37,13 @@ class InfeasibleSafety(RuntimeError):
     """The barrier rows (with relaxed tracking row) admit no pseudo-control."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClfData:
-    """Synthesized Lyapunov data for one gain setting; every array is read-only,
-    since solve_lyapunov hands the same object to every caller with equal gains."""
+    """Synthesized Lyapunov data for one gain setting, as tuples of float rows."""
 
-    P_lyap: np.ndarray  # 4x4, symmetric positive definite
-    Q: np.ndarray       # 4x4 weight of the decrease row's e'Qe
-    M: np.ndarray       # F'P + PF, cached for the Lie derivative
-    PG: np.ndarray      # P G, cached for the input Lie derivative
-    H: np.ndarray       # QP Hessian diag(2, 2, 2*penalty)
+    P: tuple  # 4x4 e'Pe, exactly symmetric and positive definite
+    Q: tuple  # 4x4 weight of the decrease row's e'Qe (ClfParams.Q)
+    H: tuple  # 3x3 QP Hessian diag(2, 2, 2*penalty)
 
 
 @functools.lru_cache(maxsize=8)
@@ -72,21 +69,22 @@ def solve_lyapunov(clf: ClfParams) -> ClfData:
     residual = np.max(np.abs(A.T @ P + P @ A + Q))
     if residual > _LYAP_RESIDUAL_TOL:
         raise ArithmeticError(f"Lyapunov solve residual {residual:.3e} exceeds tolerance")
-    F = np.block([[Z2, I2], [Z2, Z2]])
-    G = np.vstack([Z2, I2])
-    H = np.diag([2.0, 2.0, 2.0 * clf.penalty])
-    arrays = dict(P_lyap=P, Q=Q, M=F.T @ P + P @ F, PG=P @ G, H=H)
-    for a in arrays.values():
-        a.setflags(write=False)
-    return ClfData(**arrays)
+    H = ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0 * clf.penalty))
+    return ClfData(P=tuple(map(tuple, P.tolist())), Q=clf.Q, H=H)
 
 
 def clf_terms(e: tuple, d: ClfData) -> tuple[float, float, tuple[float, float]]:
-    """(V, LfV, LgV) at the tracking error e, a 4-tuple or array."""
-    ea = np.asarray(e)
-    V = float(ea @ d.P_lyap @ ea)
-    LfV = float(ea @ d.M @ ea)
-    return V, LfV, tuple((2.0 * (ea @ d.PG)).tolist())
+    """(V, LfV + e'Qe, LgV) at the tracking error 4-tuple e, in plain floats.
+
+    With P symmetric, e'(F'P + PF)e = 2 (Fe)'Pe and e'PG = (Pe)[2:], so the
+    one product Pe gives V = e'Pe, LfV and LgV = 2 e'PG.
+    """
+    e0, e1, e2, e3 = e
+    p0, p1, p2, p3 = [a * e0 + b * e1 + c * e2 + g * e3 for a, b, c, g in d.P]
+    q0, q1, q2, q3 = [a * e0 + b * e1 + c * e2 + g * e3 for a, b, c, g in d.Q]
+    return (e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3,
+            2.0 * (e2 * p0 + e3 * p1) + (e0 * q0 + e1 * q1 + e2 * q2 + e3 * q3),
+            (2.0 * p2, 2.0 * p3))
 
 
 def safety_qp(d: ClfData, n_obstacles: int) -> QpProblem:
@@ -114,12 +112,11 @@ def clf_cbf_qp_control(z: State, e: tuple, obstacles, cbf: CbfParams, clf: ClfPa
     InfeasibleSafety when the rows admit no solution.
     """
     mu_pd = pd_control(e, clf)
-    ea = np.asarray(e)
-    V, LfV, LgV = clf_terms(ea, d)
+    V, LfV_eQe, LgV = clf_terms(e, d)
     f, rows, rhs = prob.f, prob.A_ineq.reshape(-1), prob.b_ineq  # views, written in place
     f[0], f[1] = -2.0 * mu_pd[0], -2.0 * mu_pd[1]
     rows[0], rows[1] = LgV
-    rhs[0] = -LfV - float(ea @ d.Q @ ea)
+    rhs[0] = -LfV_eQe
     m0, m1 = mu_rm
     for i, (bx, by, value) in enumerate(
             barrier_rows(z.x, z.y, z.theta, z.v, obstacles, cbf.gamma1, cbf.gamma2), 2):

@@ -120,6 +120,7 @@ class _PlanReference:
         self.vx = [(b - a) / h for a, b, h in zip(self.px, self.px[1:], spans)] + [0.0]
         self.vy = [(b - a) / h for a, b, h in zip(self.py, self.py[1:], spans)] + [0.0]
         self.duration = self.times[-1]
+        self.k = 0  # the segment of the last eval; ticks only move forward
 
     def eval(self, t: float):
         """(pos, vel, acc) of the reference at time t."""
@@ -127,7 +128,9 @@ class _PlanReference:
             return ((self.px[0], self.py[0]), (self.vx[0], self.vy[0]), (0.0, 0.0))
         if t >= self.duration:
             return ((self.px[-1], self.py[-1]), (0.0, 0.0), (0.0, 0.0))
-        k = bisect.bisect_right(self.times, t) - 1
+        k = self.k
+        if not self.times[k] <= t < self.times[k + 1]:
+            k = self.k = bisect.bisect_right(self.times, t) - 1
         span = self.times[k + 1] - self.times[k]
         s = (t - self.times[k]) / span
         pos = (self.px[k] + s * (self.px[k + 1] - self.px[k]),
@@ -157,7 +160,7 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
     if not budget <= MAX_TICKS * dt_ctrl:
         least = budget / MAX_TICKS  # rounded up, if need be, so that it fits
         least = least if MAX_TICKS * least >= budget else math.nextafter(least, math.inf)
-        raise ValueError(f"dt_ctrl {dt_ctrl} is too short for the default time budget "
+        raise ValueError(f"dt_ctrl {dt_ctrl} is too short for the time budget "
                          f"{budget} s (plan duration + BUDGET_MARGIN): MAX_TICKS = "
                          f"{MAX_TICKS} ticks need dt_ctrl >= {least}")
     loop = ClosedLoop(s, dt_ctrl, perceived_obstacles)

@@ -425,8 +425,9 @@ def reference_plan_rrt_cbf_qp(s, rng):
 # np.allclose symmetry check, numpy-indexed PD gains, combined_radius per
 # obstacle, the zero-control barrier value written out per obstacle, and the
 # dual active-set solver with its objective computed on every solve and
-# np.any tests on the warm-start path. follow_path and the rrt-cbf-qp planner
-# must reproduce it bit for bit.
+# np.any tests on the warm-start path. Its CLF terms, e'Qe included, come from
+# the shipped control.clf_terms, which test_control checks against numpy.
+# follow_path and the rrt-cbf-qp planner must reproduce it bit for bit.
 # ---------------------------------------------------------------------------
 
 class ReferenceQp:
@@ -549,11 +550,9 @@ def reference_qp_control(z, e, obstacles, robot, cbf, clf, d, solver, mu_rm=(0.0
     kp, kd = np.asarray(clf.K_P), np.asarray(clf.K_D)
     mu_pd = (float(-(kp[0, 0] * e[0] + kp[0, 1] * e[1]) - (kd[0, 0] * e[2] + kd[0, 1] * e[3])),
              float(-(kp[1, 0] * e[0] + kp[1, 1] * e[1]) - (kd[1, 0] * e[2] + kd[1, 1] * e[3])))
-    V, LfV, LgV = clf_terms(e, d)
-    ea = np.asarray(e)
-    eqe = float(ea @ clf.Q @ ea)
+    V, LfV_eQe, LgV = clf_terms(e, d)
     rows = [[LgV[0], LgV[1], -1.0], [0.0, 0.0, -1.0]]
-    rhs = [-LfV - eqe, 0.0]
+    rhs = [-LfV_eQe, 0.0]
     for o in obstacles:
         A_val = reference_barrier_condition(z, o.x, o.y, combined_radius(o, robot), cbf)
         bx = 2.0 * (z.x - o.x)

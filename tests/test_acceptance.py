@@ -275,7 +275,7 @@ def test_criterion_7_lyapunov_synthesis():
     d = solve_lyapunov(ClfParams())
     expected = np.block([[1.5 * np.eye(2), 0.5 * np.eye(2)],
                          [0.5 * np.eye(2), 1.0 * np.eye(2)]])
-    identity_err = float(np.max(np.abs(d.P_lyap - expected)))
+    identity_err = float(np.max(np.abs(np.array(d.P) - expected)))
 
     rng = np.random.default_rng(23)
     worst_residual = 0.0
@@ -284,9 +284,9 @@ def test_criterion_7_lyapunov_synthesis():
         m2 = rng.normal(size=(2, 2))
         clf = ClfParams(K_P=m1 @ m1.T + 0.3 * np.eye(2),
                         K_D=m2 @ m2.T + 0.3 * np.eye(2))
-        data = solve_lyapunov(clf)
+        P = np.array(solve_lyapunov(clf).P)
         A_cl = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.array(clf.K_P), -np.array(clf.K_D)]])
-        residual = float(np.max(np.abs(A_cl.T @ data.P_lyap + data.P_lyap @ A_cl + clf.Q)))
+        residual = float(np.max(np.abs(A_cl.T @ P + P @ A_cl + clf.Q)))
         worst_residual = max(worst_residual, residual)
     ok = identity_err <= 1e-12 and worst_residual <= 1e-10
     detail = (f"identity-gain block error {identity_err:.2e}, "

@@ -382,12 +382,12 @@ def test_main_exit_code_non_finite_heading(tmp_path, capsys, argv, where, theta)
     assert f"{where}.theta must be finite" in capsys.readouterr().err
 
 
-def test_main_simulate_names_the_period_a_default_budget_needs(capsys):
-    # 1.1e-5 s passes the pre-plan floor, but the default budget (plan
+def test_main_simulate_names_the_period_the_budget_needs(capsys):
+    # 1.1e-5 s passes the pre-plan floor, but the budget (plan
     # duration + BUDGET_MARGIN) needs more than MAX_TICKS ticks at that period
     assert main(["simulate", "--scenario", "scenario1", "--dt-ctrl", "1.1e-5"]) == 2
     err = capsys.readouterr().err
-    m = re.fullmatch(r"error: dt_ctrl 1\.1e-05 is too short for the default time budget "
+    m = re.fullmatch(r"error: dt_ctrl 1\.1e-05 is too short for the time budget "
                      r"(\S+) s \(plan duration \+ BUDGET_MARGIN\): "
                      rf"MAX_TICKS = {MAX_TICKS} ticks need dt_ctrl >= (\S+)\n", err)
     assert m, err

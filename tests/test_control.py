@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_condition
 
@@ -40,25 +42,25 @@ def test_lyapunov_identity_gains_block_form():
     d = solve_lyapunov(ClfParams())
     expected = np.block([[1.5 * np.eye(2), 0.5 * np.eye(2)],
                          [0.5 * np.eye(2), 1.0 * np.eye(2)]])
-    assert np.max(np.abs(d.P_lyap - expected)) <= 1e-12
+    assert np.max(np.abs(np.array(d.P) - expected)) <= 1e-12
     assert clf_terms((1, 0, 0, 0), d)[0] == pytest.approx(1.5)
 
 
 def test_lyapunov_scales_linearly_with_q():
     d1 = solve_lyapunov(ClfParams(Q=1.0))
     d2 = solve_lyapunov(ClfParams(Q=2.0))
-    assert np.allclose(d2.P_lyap, 2.0 * d1.P_lyap, atol=1e-12)
+    assert np.allclose(d2.P, 2.0 * np.array(d1.P), atol=1e-12)
 
 
 def test_lyapunov_residual_random_gains():
     rng = np.random.default_rng(23)
     for _ in range(100):
         clf = ClfParams(K_P=random_spd(rng, 2), K_D=random_spd(rng, 2))
-        d = solve_lyapunov(clf)
+        P = np.array(solve_lyapunov(clf).P)
         A_cl = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.array(clf.K_P), -np.array(clf.K_D)]])
-        residual = np.max(np.abs(A_cl.T @ d.P_lyap + d.P_lyap @ A_cl + clf.Q))
+        residual = np.max(np.abs(A_cl.T @ P + P @ A_cl + clf.Q))
         assert residual <= 1e-10
-        assert np.min(np.linalg.eigvalsh(d.P_lyap)) > 0.0
+        assert np.min(np.linalg.eigvalsh(P)) > 0.0
 
 
 def test_lyapunov_rejects_unstable_gains():
@@ -75,10 +77,11 @@ def test_lyapunov_rejects_a_penalty_without_a_convex_qp(penalty):
 def test_lyapunov_is_memoized_per_gain_setting():
     d = solve_lyapunov(ClfParams(K_P=2.0, Q=3.0))
     assert solve_lyapunov(ClfParams(K_P=2.0, Q=3.0)) is d
-    for a in (d.P_lyap, d.Q, d.M, d.PG, d.H):  # shared by every caller, so read-only
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 0.0
+    for rows in (d.P, d.Q, d.H):  # shared by every caller, so immutable float rows
+        assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+        assert all(type(x) is float for r in rows for x in r)
+    fresh = solve_lyapunov.__wrapped__(ClfParams(K_P=2.0, Q=3.0))  # not the memoized one
+    assert fresh == d and hash(fresh) == hash(d)
     for _ in range(2):  # a rejected setting raises on every call, not only the first
         with pytest.raises(NotHurwitz):
             solve_lyapunov(ClfParams(K_P=-1.0, K_D=1.0))
@@ -92,6 +95,28 @@ def test_clf_terms_examples():
     V, _, LgV = clf_terms((1, 0, 0, 0), d)
     assert V == pytest.approx(1.5)
     assert LgV == pytest.approx((1.0, 0.0))
+
+
+_COORD = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(-10.0, -1e-6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.tuples(_COORD, _COORD, _COORD, _COORD))
+def test_clf_terms_match_the_numpy_forms(seed, e):
+    # random Hurwitz gains (K_P, K_D symmetric positive definite) and weight Q
+    rng = np.random.default_rng(seed)
+    d = solve_lyapunov(ClfParams(K_P=random_spd(rng, 2), K_D=random_spd(rng, 2),
+                                 Q=random_spd(rng, 4)))
+    P, Q, ea = np.array(d.P), np.array(d.Q), np.array(e)
+    F = np.block([[np.zeros((2, 2)), np.eye(2)], [np.zeros((2, 2)), np.zeros((2, 2))]])
+    M = F.T @ P + P @ F
+    V, LfV_eQe, LgV = clf_terms(e, d)
+    tol = 1e-12 * float(ea @ ea)  # per unit of a matrix's largest entry
+    assert abs(V - ea @ P @ ea) <= tol * np.max(np.abs(P))
+    assert abs(LfV_eQe - (ea @ M @ ea + ea @ Q @ ea)) <= tol * np.max(np.abs(np.hstack([M, Q])))
+    # LgV is linear in e, so its bound scales with |e|
+    assert np.max(np.abs(np.array(LgV) - 2.0 * ea @ P[:, 2:])) <= (
+        1e-12 * np.linalg.norm(ea) * np.max(np.abs(P)))
 
 
 def test_clf_value_quadratic_homogeneity():
@@ -137,9 +162,8 @@ def test_clf_qp_decrease_row_holds():
     for _ in range(1000):
         e = tuple(rng.normal(size=4))
         mu = tracking_qp(e, d, clf)
-        _, LfV, LgV = clf_terms(e, d)
-        ea = np.asarray(e)
-        row = LfV + LgV[0] * mu[0] + LgV[1] * mu[1] + float(ea @ clf.Q @ ea)
+        _, LfV_eQe, LgV = clf_terms(e, d)
+        row = LfV_eQe + LgV[0] * mu[0] + LgV[1] * mu[1]
         assert row <= 1e-8
 
 
@@ -150,9 +174,10 @@ def test_clf_decrease_along_error_dynamics():
     dt = 0.01
     F = np.block([[np.zeros((2, 2)), np.eye(2)], [np.zeros((2, 2)), np.zeros((2, 2))]])
     G = np.vstack([np.zeros((2, 2)), np.eye(2)])
+    P = np.array(d.P)
     for _ in range(100):
         e = rng.normal(size=4)
-        v_prev = float(e @ d.P_lyap @ e)
+        v_prev = float(e @ P @ e)
         for _ in range(150):
             mu = tracking_qp(e, d, clf)
             de = F @ e + G @ np.array(mu)
@@ -160,7 +185,7 @@ def test_clf_decrease_along_error_dynamics():
             e_mid = e + 0.5 * dt * de
             mu_mid = tracking_qp(e_mid, d, clf)
             e = e + dt * (F @ e_mid + G @ np.array(mu_mid))
-            v = float(e @ d.P_lyap @ e)
+            v = float(e @ P @ e)
             assert v <= v_prev + 1e-6
             v_prev = v
 
