@@ -215,12 +215,11 @@ def emit_svg(result, scenario: Scenario, path) -> None:
                      f'stroke="#922" stroke-width="1" stroke-dasharray="4 3"/>')
 
     if isinstance(result, PlanResult):
-        if result.tree_edges:
+        if len(result.nodes) > 1:
             d = []
-            nodes = result.tree_nodes
-            for parent, child in result.tree_edges:
-                px, py = nodes[parent]
-                cx, cy = nodes[child]
+            nodes = result.nodes
+            for parent, (cx, cy, _, _) in zip(result.parents[1:], nodes[1:]):
+                px, py = nodes[parent][:2]
                 d.append(f"M{sx(px):.1f} {sy(py):.1f}L{sx(cx):.1f} {sy(cy):.1f}")
             parts.append(f'<path d="{"".join(d)}" fill="none" stroke="#ccc" '
                          f'stroke-width="0.6"/>')
@@ -251,12 +250,12 @@ def emit_svg(result, scenario: Scenario, path) -> None:
 # command line front end
 # ---------------------------------------------------------------------------
 
-def _plan_to_json(result: PlanResult, planner_name: str, seed: int) -> dict:
+def _plan_to_json(result: PlanResult, planner_name: str, seed: int, wall_time: float) -> dict:
     return {
         "planner": planner_name,
         "seed": seed,
         "iterations_used": result.iterations_used,
-        "wall_time": result.wall_time,
+        "wall_time": wall_time,
         "tree_size": len(result.nodes),
         "waypoints": [
             {"t": w.t, "x": w.state.x, "y": w.state.y, "theta": w.state.theta,
@@ -326,31 +325,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _planned(args, name: str, scenario: Scenario, pos_err=0.0, radius_err=0.0):
-    """(seed, perceived scenario, plan) of --planner from --seed (default: the
-    scenario's), the obstacles first mis-perceived by draws from the planner's
-    rng when an error is given. A NoPath is reported here, then raised."""
+    """(seed, perceived scenario, plan, the plan call's wall time in s) of --planner
+    from --seed (default: the scenario's), the obstacles first mis-perceived by
+    draws from its rng when an error is given. A NoPath is reported, then raised."""
     seed = args.seed if args.seed is not None else scenario.planner.seed
     rng = np.random.default_rng(seed)
     perceived = scenario
     if pos_err != 0.0 or radius_err != 0.0:
         perceived = inject_perception_error(scenario, pos_err, radius_err, rng)
+    bounds = UncertaintyBounds(args.delta1, args.delta2)
+    started = time.perf_counter()
     try:
-        return seed, perceived, plan(args.planner, perceived, rng,
-                                     bounds=UncertaintyBounds(args.delta1, args.delta2))
+        result = plan(args.planner, perceived, rng, bounds=bounds)
     except NoPath as exc:
         print(f"{args.planner} on {name}: no path ({exc})", file=sys.stderr)
         raise
+    return seed, perceived, result, time.perf_counter() - started
 
 
 def _cmd_plan(args) -> int:
     name, scenario = _resolve_scenario(args.scenario)
-    seed, _, result = _planned(args, name, scenario)
+    seed, _, result, wall_time = _planned(args, name, scenario)
     print(f"{args.planner} on {name}: reached goal in {result.iterations_used} "
           f"iterations, {len(result.waypoints)} waypoints, "
-          f"{result.path_length():.2f} m, {result.wall_time:.3f} s")
+          f"{result.path_length():.2f} m, {wall_time:.3f} s")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_plan_to_json(result, args.planner, seed), fh, indent=1)
+            json.dump(_plan_to_json(result, args.planner, seed, wall_time), fh, indent=1)
         print(f"wrote {args.out}")
     if args.svg:
         emit_svg(result, scenario, args.svg)
@@ -363,7 +364,7 @@ def _cmd_simulate(args) -> int:
     if not BUDGET_MARGIN / MAX_TICKS <= args.dt_ctrl < math.inf:  # checked before planning
         raise ValueError(f"--dt-ctrl must be finite and at least BUDGET_MARGIN / MAX_TICKS = "
                          f"{BUDGET_MARGIN / MAX_TICKS:g} s, got {args.dt_ctrl:g}")
-    _, perceived, result = _planned(args, name, scenario, args.pos_err, args.radius_err)
+    _, perceived, result, _ = _planned(args, name, scenario, args.pos_err, args.radius_err)
     try:
         traj = follow_path(result, scenario, dt_ctrl=args.dt_ctrl,
                            perceived_obstacles=perceived.obstacles)

@@ -357,17 +357,11 @@ class PlanResult:
     nodes: tuple[tuple[float, float, float, float], ...]  # (x, y, theta, v) per tree node
     parents: tuple[int, ...]  # parent index per tree node, -1 at the root
     iterations_used: int
-    wall_time: float  # s
 
     @property
     def tree_nodes(self) -> tuple[tuple[float, float], ...]:
         """Planar position per tree node."""
         return tuple(n[:2] for n in self.nodes)
-
-    @property
-    def tree_edges(self) -> tuple[tuple[int, int], ...]:
-        """(parent, child) node indices, one per non-root node."""
-        return tuple(zip(self.parents[1:], range(1, len(self.nodes))))
 
     def path_length(self) -> float:
         total = 0.0

@@ -15,7 +15,6 @@ PCG64, PCG64DXSM, Philox or SFC64 words.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -72,7 +71,7 @@ class Tree:
         return int(np.argmin(d2))  # argmin keeps the lowest index on ties
 
 
-def _plan(tree: Tree, leaf: int, iterations: int, started: float,
+def _plan(tree: Tree, leaf: int, iterations: int,
           dt: float | None = None, v_nom: float | None = None) -> PlanResult:
     """The plan along root..leaf. Waypoint k is at time k * dt, or, with dt
     None, at the path length up to it over v_nom."""
@@ -92,8 +91,7 @@ def _plan(tree: Tree, leaf: int, iterations: int, started: float,
             t += math.hypot(nodes[i][0] - prev[0], nodes[i][1] - prev[1]) / v_nom
         u = controls[chain[k + 1]] if k + 1 < len(chain) else None
         waypoints.append(Waypoint(t, State(*nodes[i]), None if u is None else Control(*u)))
-    return PlanResult(tuple(waypoints), tuple(nodes), tuple(tree.parents),
-                      iterations, time.perf_counter() - started)
+    return PlanResult(tuple(waypoints), tuple(nodes), tuple(tree.parents), iterations)
 
 
 def point_segment_distance(px: float, py: float, ax: float, ay: float,
@@ -129,7 +127,7 @@ def _goal_reached(x: float, y: float, s: Scenario) -> bool:
     return dx * dx + dy * dy <= tol * tol
 
 
-def _grow(s: Scenario, rng: np.random.Generator, steer, started: float,
+def _grow(s: Scenario, rng: np.random.Generator, steer,
           dt: float | None = None, v_nom: float | None = None) -> PlanResult:
     """The sample -> nearest -> steer -> append loop of rrt and rrt-cbf-qp
     (LaValle & Kuffner's RRT skeleton), for a start outside the goal region.
@@ -152,7 +150,7 @@ def _grow(s: Scenario, rng: np.random.Generator, steer, started: float,
         for node, control in chain:
             i = tree.add(node, i, control)
         if _goal_reached(node[0], node[1], s):
-            return _plan(tree, i, it, started, dt, v_nom)
+            return _plan(tree, i, it, dt, v_nom)
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 
@@ -165,10 +163,9 @@ def plan_rrt(s: Scenario, rng: np.random.Generator) -> PlanResult:
     segment geometry at a constant reference speed so the result is still
     followable.
     """
-    started = time.perf_counter()
     v_nom = 0.8 * s.robot.v_max
     if _goal_reached(s.start.x, s.start.y, s):
-        return _plan(Tree(s.start), 0, 0, started, v_nom=v_nom)
+        return _plan(Tree(s.start), 0, 0, v_nom=v_nom)
     step = s.planner.step_size
     radii = [combined_radius(o, s.robot) for o in s.obstacles]
 
@@ -185,9 +182,9 @@ def plan_rrt(s: Scenario, rng: np.random.Generator) -> PlanResult:
         ny = y + dy * scale
         if segment_collision((x, y), (nx, ny), s.obstacles, radii):
             return None
-        return [((nx, ny, math.atan2(ny - y, nx - x), v_nom), None)]
+        return [((nx, ny, wrap_angle(math.atan2(ny - y, nx - x)), v_nom), None)]
 
-    return _grow(s, rng, steer, started, v_nom=v_nom)
+    return _grow(s, rng, steer, v_nom=v_nom)
 
 
 def block_draws(rng, c_max: float, a_max: float):
@@ -284,12 +281,11 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     `rng.uniform(-c_max, c_max)` and `rng.uniform(0, a_max)` calls (block_draws;
     PCG64, PCG64DXSM, Philox or SFC64 bit generators, else TypeError).
     """
-    started = time.perf_counter()
     draw, restore = block_draws(rng, s.robot.c_max, s.robot.a_max)
     tree = Tree(s.start)
     dt = s.planner.dt
     if _goal_reached(s.start.x, s.start.y, s):
-        return _plan(tree, 0, 0, started, dt)
+        return _plan(tree, 0, 0, dt)
     nodes = tree.nodes
     parents = tree.parents
     controls = tree.controls
@@ -323,7 +319,7 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
             ddx = nx - gx
             ddy = ny - gy
             if ddx * ddx + ddy * ddy <= tol2:
-                return _plan(tree, len(nodes) - 1, it, started, dt)
+                return _plan(tree, len(nodes) - 1, it, dt)
         raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
     finally:
         restore()
@@ -348,10 +344,9 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
     speed STEER_SPEED_FRAC * v_max toward the sample) and the horizon cap are
     reconstruction choices, reported with benchmark output.
     """
-    started = time.perf_counter()
     dt_sub = s.planner.dt / 10.0
     if _goal_reached(s.start.x, s.start.y, s):
-        return _plan(Tree(s.start), 0, 0, started, dt_sub)
+        return _plan(Tree(s.start), 0, 0, dt_sub)
     loop = ClosedLoop(s, dt_sub)
     v_ref = STEER_SPEED_FRAC * s.robot.v_max
     tol2 = SAMPLE_TOLERANCE * SAMPLE_TOLERANCE
@@ -384,7 +379,7 @@ def plan_rrt_cbf_qp(s: Scenario, rng: np.random.Generator) -> PlanResult:
                 break  # sample reached; extension complete
         return chain
 
-    return _grow(s, rng, steer, started, dt=dt_sub)
+    return _grow(s, rng, steer, dt=dt_sub)
 
 
 PLANNER_NAMES = ("rrt", "rrt-kbf", "robust-rrt-kbf", "rrt-cbf-qp")

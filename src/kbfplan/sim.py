@@ -212,7 +212,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,y,theta,v,c,a,minB,V,d\n")
         for smp in traj.samples:
-            min_b = min(smp.b_values) if smp.b_values else math.inf
+            bs = smp.b_values  # any NaN barrier makes minB NaN, as in min_barrier
+            min_b = math.nan if any(b != b for b in bs) else min(bs, default=math.inf)
             row = (smp.t, smp.state.x, smp.state.y, smp.state.theta, smp.state.v,
                    smp.control.c, smp.control.a, min_b, smp.V, smp.d)
             fh.write(",".join(format(v, ".12g") for v in row) + "\n")

@@ -8,7 +8,6 @@ check.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -209,7 +208,7 @@ class ReferenceTree:
         chain.reverse()
         return chain
 
-    def plan(self, leaf, times, iterations, started):
+    def plan(self, leaf, times, iterations):
         """PlanResult along root..leaf; times(chain) gives the waypoint times."""
         chain = self.path_indices(leaf)
         waypoints = []
@@ -217,7 +216,7 @@ class ReferenceTree:
             control = self.controls[chain[k + 1]] if k + 1 < len(chain) else None
             waypoints.append(Waypoint(t, self.states[idx], control))
         return PlanResult(tuple(waypoints), tuple((z.x, z.y, z.theta, z.v) for z in self.states),
-                          tuple(self.parents), iterations, time.perf_counter() - started)
+                          tuple(self.parents), iterations)
 
 
 def _in_goal(z, s):
@@ -227,18 +226,15 @@ def _in_goal(z, s):
     return dx * dx + dy * dy <= tol * tol
 
 
-def _start_plan(s, started):
-    wp = Waypoint(0.0, s.start, None)
+def _start_plan(s):
     z = s.start
-    return PlanResult((wp,), ((z.x, z.y, z.theta, z.v),), (-1,), 0,
-                      time.perf_counter() - started)
+    return PlanResult((Waypoint(0.0, z, None),), ((z.x, z.y, z.theta, z.v),), (-1,), 0)
 
 
 def reference_plan_kbf(s, rng, bounds=None, trace=None):
     """rrt-kbf (bounds None) or robust-rrt-kbf, one State object per node."""
-    started = time.perf_counter()
     if _in_goal(s.start, s):
-        return _start_plan(s, started)
+        return _start_plan(s)
     tree = ReferenceTree(s.start)
     states = tree.states
     robot = s.robot
@@ -299,8 +295,7 @@ def reference_plan_kbf(s, rng, bounds=None, trace=None):
         ddx = z2.x - gx
         ddy = z2.y - gy
         if ddx * ddx + ddy * ddy <= tol2:
-            return tree.plan(j, lambda chain: [k * dt for k in range(len(chain))],
-                             it, started)
+            return tree.plan(j, lambda chain: [k * dt for k in range(len(chain))], it)
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 
@@ -313,9 +308,8 @@ def reference_plan_kbf(s, rng, bounds=None, trace=None):
 # ---------------------------------------------------------------------------
 
 def reference_plan_rrt(s, rng):
-    started = time.perf_counter()
     if _in_goal(s.start, s):
-        return _start_plan(s, started)
+        return _start_plan(s)
     tree = ReferenceTree(s.start)
     b = s.bounds
     step = s.planner.step_size
@@ -348,14 +342,13 @@ def reference_plan_rrt(s, rng):
         heading = math.atan2(ny - zi.y, nx - zi.x)
         j = tree.add(State(nx, ny, heading, v_nom), i, None)
         if _in_goal(tree.states[j], s):
-            return tree.plan(j, times, it, started)
+            return tree.plan(j, times, it)
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 
 def reference_plan_rrt_cbf_qp(s, rng):
-    started = time.perf_counter()
     if _in_goal(s.start, s):
-        return _start_plan(s, started)
+        return _start_plan(s)
     tree = ReferenceTree(s.start)
     robot = s.robot
     dt_sub = s.planner.dt / 10.0
@@ -414,8 +407,7 @@ def reference_plan_rrt_cbf_qp(s, rng):
         for zs, us in chain:
             parent = tree.add(zs, parent, us)
         if reached:
-            return tree.plan(parent, lambda c: [k * dt_sub for k in range(len(c))],
-                             it, started)
+            return tree.plan(parent, lambda c: [k * dt_sub for k in range(len(c))], it)
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 

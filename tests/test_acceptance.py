@@ -93,11 +93,7 @@ def campaign(corpus):
             rows["t_rob0"].append(dt_run)
             rows["ok_rob0"] += r_rob is not None
             same_trace = trace_kbf == trace_rob
-            same_plan = (r_kbf is None and r_rob is None) or (
-                r_kbf is not None and r_rob is not None
-                and r_kbf.waypoints == r_rob.waypoints
-                and r_kbf.tree_nodes == r_rob.tree_nodes
-                and r_kbf.tree_edges == r_rob.tree_edges)
+            same_plan = repr(r_kbf) == repr(r_rob)  # whole plans, or both None
             if not (same_trace and same_plan):
                 rows["reduction_mismatches"] += 1
             best_kbf = rows["t_kbf"][-1]

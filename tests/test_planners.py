@@ -22,9 +22,15 @@ from kbfplan.safety import kbf_check
 
 
 def same_plan(a, b):
-    """Equality ignoring wall-clock time, by repr, so a zero's sign counts too."""
-    return (repr((a.waypoints, a.tree_nodes, a.tree_edges, a.iterations_used))
-            == repr((b.waypoints, b.tree_nodes, b.tree_edges, b.iterations_used)))
+    """Whole plans are equal by repr, so a zero's sign counts too."""
+    return repr(a) == repr(b)
+
+
+def assert_same_value(r1, r2):
+    """Equal plans compare, hash and print equal: a plan is a value."""
+    assert r1 == r2
+    assert hash(r1) == hash(r2)
+    assert repr(r1) == repr(r2)
 
 
 def open_scenario(goal=(3.0, 0.5), tol=0.6, obstacles=(), max_iters=50_000,
@@ -109,9 +115,8 @@ def test_rrt_wall_no_path():
 
 def test_rrt_deterministic():
     s = open_scenario(obstacles=[Obstacle(2.0, 0.8, 0.4)])
-    r1 = plan_rrt(s, np.random.default_rng(3))
-    r2 = plan_rrt(s, np.random.default_rng(3))
-    assert same_plan(r1, r2)
+    assert_same_value(plan_rrt(s, np.random.default_rng(3)),
+                      plan_rrt(s, np.random.default_rng(3)))
 
 
 def test_rrt_goal_contract_and_timestamps():
@@ -141,9 +146,8 @@ def test_kbf_open_field_success_rate():
 
 def test_kbf_deterministic():
     s = open_scenario(obstacles=[Obstacle(2.0, 0.8, 0.4)])
-    r1 = plan_rrt_kbf(s, np.random.default_rng(5))
-    r2 = plan_rrt_kbf(s, np.random.default_rng(5))
-    assert same_plan(r1, r2)
+    assert_same_value(plan_rrt_kbf(s, np.random.default_rng(5)),
+                      plan_rrt_kbf(s, np.random.default_rng(5)))
 
 
 def test_kbf_edges_replay_and_pass_gate():
@@ -172,11 +176,9 @@ def test_kbf_edges_replay_and_pass_gate():
 def test_kbf_tree_parent_structure():
     s = open_scenario(goal=(3.0, 0.5))
     r = plan_rrt_kbf(s, np.random.default_rng(2))
-    seen = set()
-    for parent, child in r.tree_edges:
-        assert parent < child
-        assert child not in seen  # exactly one parent each
-        seen.add(child)
+    assert r.parents[0] == -1 and len(r.parents) == len(r.nodes)
+    for child, parent in enumerate(r.parents[1:], 1):  # exactly one parent each
+        assert 0 <= parent < child
 
 
 def test_robust_zero_bounds_identical_to_nominal():
@@ -470,9 +472,8 @@ def test_cbf_qp_open_field_success_rate():
 
 def test_cbf_qp_deterministic():
     s = open_scenario(goal=(3.0, 0.5), obstacles=[Obstacle(2.0, 0.8, 0.4)])
-    r1 = plan_rrt_cbf_qp(s, np.random.default_rng(4))
-    r2 = plan_rrt_cbf_qp(s, np.random.default_rng(4))
-    assert same_plan(r1, r2)
+    assert_same_value(plan_rrt_cbf_qp(s, np.random.default_rng(4)),
+                      plan_rrt_cbf_qp(s, np.random.default_rng(4)))
 
 
 def test_cbf_qp_extension_cost_dominates_kbf():
@@ -519,11 +520,9 @@ def test_plan_result_tree_views(name):
         r = plan(name, s, np.random.default_rng(3))
         assert r.parents[0] == -1
         assert r.tree_nodes == tuple(n[:2] for n in r.nodes)
-        assert r.tree_edges == tuple(zip(r.parents[1:], range(1, len(r.nodes))))
-        assert hash(r) == hash(dataclasses.replace(r))  # PlanResult stays a hashable value
+        assert_same_value(r, plan(name, s, np.random.default_rng(3)))
     z = start_in_goal.start  # r is now the start-in-goal plan: the root alone
-    assert r.nodes == ((z.x, z.y, z.theta, z.v),)
-    assert r.tree_edges == ()
+    assert r.nodes == ((z.x, z.y, z.theta, z.v),) and r.parents == (-1,)
 
 
 def test_start_inside_goal_region_trivial_plan(monkeypatch):

@@ -28,7 +28,7 @@ def straight_line_setup(v=0.9, length=3.0, dt=0.5):
                                   Control(0.0, 0.0) if k < n else None))
     plan = PlanResult(tuple(waypoints),
                       tuple((w.state.x, w.state.y, w.state.theta, w.state.v) for w in waypoints),
-                      (-1, *range(n)), n, 0.0)
+                      (-1, *range(n)), n)
     goal = waypoints[-1].state
     scenario = validate_scenario(Scenario(
         start=State(0.0, 0.0, 0.0, v),
@@ -185,10 +185,7 @@ def test_cbf_qp_planner_matches_frozen_tick(monkeypatch):
             m.setattr(sim, "clf_cbf_qp_control", frozen)
             reference = plan_rrt_cbf_qp(s, np.random.default_rng(0))
         assert len(calls) > 0 and set(calls) == {(0.0, 0.0)}
-        assert repr((shipped.waypoints, shipped.tree_nodes, shipped.tree_edges,
-                     shipped.iterations_used)) == \
-            repr((reference.waypoints, reference.tree_nodes, reference.tree_edges,
-                  reference.iterations_used))
+        assert repr(shipped) == repr(reference)
 
 
 def _load_tracer():
@@ -265,6 +262,10 @@ def test_trajectory_csv_format(tmp_path):
     assert len(row) == 10
     # 12 significant digits survive a round trip
     assert float(row[1]) == pytest.approx(traj.samples[row_idx - 1].state.x, rel=1e-11)
+    # a NaN barrier writes minB NaN, as min_barrier reports it, not the finite minimum
+    broken = TrajectorySample(0.0, State(0, 0, 0, 0), Control(0, 0), (1.0, math.nan), 0.0, 0.0)
+    write_trajectory_csv(Trajectory((broken,)), out)
+    assert out.read_text().splitlines()[1] == "0,0,0,0,0,0,0,nan,0,0"
 
 
 def test_time_budget_raises_with_partial_trajectory(monkeypatch):
