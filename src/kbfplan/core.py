@@ -143,7 +143,7 @@ class UncertaintyBounds:
 @dataclass(frozen=True)
 class PlannerConfig:
     step_size: Positive = 0.5       # geometric extension length, m
-    dt: Positive = 0.1              # control hold per kinodynamic extension, s
+    dt: Positive = 0.5              # control hold per kinodynamic extension, s
     max_iters: Annotated[int, "positive"] = 50_000
     goal_tolerance: Positive = 0.5  # goal acceptance radius, m
     seed: int = 0

@@ -23,7 +23,7 @@ from .core import (Control, PlanResult, Scenario, State, UncertaintyBounds,
 # unused here since sim.ClosedLoop runs the tick, but perfbench's tracer swaps these names here
 from .control import InfeasibleSafety, clf_cbf_qp_control, solve_lyapunov  # noqa: F401
 from .dynamics import integrate_step, io_linearize, rk4_step, tracking_error  # noqa: F401
-from .safety import barrier_value, gate_value
+from .safety import barrier_value, gate_check, gate_rows
 from .sim import ClosedLoop
 
 
@@ -273,15 +273,19 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     Each iteration draws a uniformly random visited node and a uniformly
     random admissible control, accepts the pair iff the (robust) barrier
     condition holds at the node for every obstacle, and then integrates one
-    control period to create the child node. Extensions leaving the workspace
-    are discarded. With `trace` a (node, control, verdict) tuple is appended
-    per iteration, which is how the zero-bound reduction is audited: with
-    zero bounds the run is exactly that of plan_rrt_kbf. The draws, and rng's
+    control period to create the child node. The gate's control-free part is
+    formed once per node, on its first draw, for only the obstacles some
+    control in the box can fail (safety.gate_rows); no verdict changes.
+    Extensions leaving the workspace are discarded. With `trace` a (node,
+    control, verdict) tuple is appended per iteration, which is how the
+    zero-bound reduction is audited: with zero bounds the run is exactly that
+    of plan_rrt_kbf. The draws, and rng's
     state on return or NoPath, are those of `rng.integers(0, len(nodes))`,
     `rng.uniform(-c_max, c_max)` and `rng.uniform(0, a_max)` calls (block_draws;
     PCG64, PCG64DXSM, Philox or SFC64 bit generators, else TypeError).
     """
-    draw, restore = block_draws(rng, s.robot.c_max, s.robot.a_max)
+    c_max, a_max = s.robot.c_max, s.robot.a_max
+    draw, restore = block_draws(rng, c_max, a_max)
     tree = Tree(s.start)
     dt = s.planner.dt
     if _goal_reached(s.start.x, s.start.y, s):
@@ -299,12 +303,16 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     obs = gate_obstacles(s.obstacles, robot)
     d1 = bounds.delta1_max
     d2 = bounds.delta2_max
+    node_rows = [None]  # per node: gate_rows over the control box, on its first draw
 
     try:
         for it in range(1, s.planner.max_iters + 1):
             i, c, a = draw(len(nodes))
             x, y, theta, v = nodes[i]
-            ok = gate_value(x, y, theta, v, c, a, obs, g1, g2, d1, d2) >= 0.0
+            rows = node_rows[i]
+            if rows is None:
+                rows = node_rows[i] = gate_rows(x, y, theta, v, obs, g1, g2, d1, d2, c_max, a_max)
+            ok = not rows or gate_check(theta, v, rows, c, a, d2) >= 0.0
             if trace is not None:
                 trace.append((i, c, a, ok))
             if not ok:
@@ -316,6 +324,7 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
             nodes.append((nx, ny, wrap_angle(nth), nv))
             parents.append(i)
             controls.append((c, a))
+            node_rows.append(None)
             ddx = nx - gx
             ddy = ny - gy
             if ddx * ddx + ddy * ddy <= tol2:

@@ -37,38 +37,48 @@ def barrier_value(z: State, o: Obstacle, r: float) -> float:
     return dx * dx + dy * dy - r * r
 
 
-def gate_value(x: float, y: float, theta: float, v: float, c: float, a: float,
-               obstacles, g1: float, g2: float, d1: float = 0.0, d2: float = 0.0) -> float:
-    """The (robust) gate condition A + b mu for holding (c, a) at (x, y, theta, v).
-
-    obstacles holds (xo, yo, r*r) per obstacle, r the combined radius. Returns
-    the smallest value over the obstacles, or the first one that fails: the
-    gate passes iff the result is >= 0.0, so NaN fails closed. Nonzero bounds
-    (d1, d2) take the worst corner of the uncertainty box.
-    """
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    vx = v * cos_t
-    vy = v * sin_t
-    v2 = v * v
-    mu1 = -v2 * sin_t * c + cos_t * a
-    mu2 = v2 * cos_t * c + sin_t * a
+def gate_rows(x: float, y: float, theta: float, v: float, obstacles, g1: float, g2: float,
+              d1: float = 0.0, d2: float = 0.0, c_max: float = math.inf, a_max: float = math.inf):
+    """The gate's control-free part at (x, y, theta, v): a flat tuple of (dx, dy, A)
+    per obstacle, A with the robust d1 term. An obstacle is left out when A exceeds
+    a bound on |b mu|, d2 corner included, over |c| <= c_max, |a| <= a_max; the float
+    steps of gate_check are monotone, so it then passes every control in that box.
+    NaN keeps its row, and the default infinite box keeps every row."""
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    vx, vy, v2 = v * cos_t, v * sin_t, v * v
     kinetic = 2.0 * (vx * vx + vy * vy)
     robust = d1 != 0.0 or d2 != 0.0
-    d2p = 1.0 + d2
-    d2n = 1.0 - d2
-    worst = math.inf
+    m1 = (v2 * abs(sin_t) * c_max + abs(cos_t) * a_max) * (1.0 + 1e-9)  # >= |mu1|
+    m2 = (v2 * abs(cos_t) * c_max + abs(sin_t) * a_max) * (1.0 + 1e-9)  # >= |mu2|
+    scale = 2.0 * (1.0 + d2) * (1.0 + 1e-9)
+    rows = []
     for xo, yo, r2 in obstacles:
-        dx = x - xo
-        dy = y - yo
+        dx, dy = x - xo, y - yo
         Bdot = 2.0 * (dx * vx + dy * vy)
         B1 = Bdot + g1 * (dx * dx + dy * dy - r2)
         A = g1 * Bdot + kinetic + g2 * B1
-        s = 2.0 * (dx * mu1 + dy * mu2)
         if robust:
             A -= d1 * (abs(2.0 * dx) + abs(2.0 * dy))
-            sp = s * d2p
-            sn = s * d2n
+        if not A > scale * (abs(dx) * m1 + abs(dy) * m2):
+            rows += (dx, dy, A)
+    return tuple(rows)
+
+
+def gate_check(theta: float, v: float, rows, c: float, a: float, d2: float = 0.0) -> float:
+    """A + b mu over gate_rows' rows for holding (c, a): the smallest value, or the
+    first that fails. The gate passes iff it is >= 0.0, so NaN fails closed; a
+    nonzero d2 takes the worst multiplicative corner."""
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    v2 = v * v
+    mu1 = -v2 * sin_t * c + cos_t * a
+    mu2 = v2 * cos_t * c + sin_t * a
+    d2p, d2n = 1.0 + d2, 1.0 - d2
+    worst = math.inf
+    it = iter(rows)
+    for dx, dy, A in zip(it, it, it):
+        s = 2.0 * (dx * mu1 + dy * mu2)
+        if d2 != 0.0:
+            sp, sn = s * d2p, s * d2n
             s = sp if sp < sn else sn
         value = A + s
         if not value >= 0.0:
@@ -76,6 +86,13 @@ def gate_value(x: float, y: float, theta: float, v: float, c: float, a: float,
         if value < worst:
             worst = value
     return worst
+
+
+def gate_value(x: float, y: float, theta: float, v: float, c: float, a: float,
+               obstacles, g1: float, g2: float, d1: float = 0.0, d2: float = 0.0) -> float:
+    """The (robust) gate condition for holding (c, a) at (x, y, theta, v), over
+    obstacles given as (xo, yo, r*r), r the combined radius: gate_check over every row."""
+    return gate_check(theta, v, gate_rows(x, y, theta, v, obstacles, g1, g2, d1, d2), c, a, d2)
 
 
 def barrier_rows(x: float, y: float, theta: float, v: float, obstacles, g1: float, g2: float):

@@ -141,6 +141,42 @@ def reference_condition(z, u, o, r, cbf):
     return A, b, mu
 
 
+def frozen_gate_value(x, y, theta, v, c, a, obstacles, g1, g2, d1=0.0, d2=0.0):
+    """safety.gate_value as it was before the gate was split at the control
+    (gate_rows, gate_check): one pass over every obstacle, the first failing
+    value or the smallest. The shipped composition must match it bit for bit."""
+    sin_t = math.sin(theta)
+    cos_t = math.cos(theta)
+    vx = v * cos_t
+    vy = v * sin_t
+    v2 = v * v
+    mu1 = -v2 * sin_t * c + cos_t * a
+    mu2 = v2 * cos_t * c + sin_t * a
+    kinetic = 2.0 * (vx * vx + vy * vy)
+    robust = d1 != 0.0 or d2 != 0.0
+    d2p = 1.0 + d2
+    d2n = 1.0 - d2
+    worst = math.inf
+    for xo, yo, r2 in obstacles:
+        dx = x - xo
+        dy = y - yo
+        Bdot = 2.0 * (dx * vx + dy * vy)
+        B1 = Bdot + g1 * (dx * dx + dy * dy - r2)
+        A = g1 * Bdot + kinetic + g2 * B1
+        s = 2.0 * (dx * mu1 + dy * mu2)
+        if robust:
+            A -= d1 * (abs(2.0 * dx) + abs(2.0 * dy))
+            sp = s * d2p
+            sn = s * d2n
+            s = sp if sp < sn else sn
+        value = A + s
+        if not value >= 0.0:
+            return value
+        if value < worst:
+            worst = value
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Loop-form reference of the barrier-gated planners: one State per node, the
 # RK4 step built from derivative tuples, and the gate math written out inline.

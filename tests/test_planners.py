@@ -144,6 +144,19 @@ def test_kbf_open_field_success_rate():
     assert ok >= 95
 
 
+def test_kbf_default_planner_config_crosses_an_open_field():
+    # a scenario file without a planner section gets PlannerConfig(): its
+    # default hold (dt 0.5 s) crosses an empty 6 x 6 m field on every seed,
+    # where a 0.1 s hold found no path in 50,000 iterations
+    s = validate_scenario(Scenario(start=State(0.8, 3.0, 0.0, 0.0),
+                                   goal=State(5.2, 3.0, 0.0, 0.0),
+                                   bounds=Bounds(0.0, 6.0, 0.0, 6.0)))
+    assert s.planner == PlannerConfig() and s.planner.dt == 0.5
+    for seed in range(10):
+        end = plan_rrt_kbf(s, np.random.default_rng(seed)).waypoints[-1].state
+        assert math.hypot(end.x - 5.2, end.y - 3.0) <= s.planner.goal_tolerance
+
+
 def test_kbf_deterministic():
     s = open_scenario(obstacles=[Obstacle(2.0, 0.8, 0.4)])
     assert_same_value(plan_rrt_kbf(s, np.random.default_rng(5)),

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_condition, robust_worst_grid
+from oracles import frozen_gate_value, reference_condition, robust_worst_grid
 
 from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
                           RobotParams, Scenario, State, UncertaintyBounds)
 from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_kbf
-from kbfplan.safety import (barrier_rows, barrier_value, gate_value, kbf_check,
-                            robust_worst_value)
+from kbfplan.safety import (barrier_rows, barrier_value, gate_check, gate_rows, gate_value,
+                            kbf_check, robust_worst_value)
 
 CBF = CbfParams(1.0, 1.0)
 ROBOT = RobotParams()
@@ -263,3 +263,84 @@ def test_barrier_rows_match_the_zero_control_gate(x, y, theta, v, nan_at, obstac
     for (bx, by, value), ob in zip(rows, obs):
         assert same_float(value, gate_value(x, y, theta, v, 0.0, 0.0, [ob], g1, g2))
         assert same_float(bx, 2.0 * (x - ob[0])) and same_float(by, 2.0 * (y - ob[1]))
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=600, deadline=None)
+@given(x=COORD, y=COORD, theta=st.one_of(st.sampled_from([0.0, -0.0, math.nan]),
+                                         st.floats(-4.0, 4.0)),
+       v=st.one_of(SPECIAL, st.floats(-1.5, 1.5)),
+       c=st.one_of(SPECIAL, st.floats(-8.0, 8.0)), a=st.one_of(SPECIAL, st.floats(-2.0, 2.0)),
+       obstacles=st.lists(OBSTACLE, max_size=6), g1=st.floats(0.1, 5.0), g2=st.floats(0.1, 5.0),
+       d1=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 2.0)),
+       d2=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.99)),
+       nan_at=st.sampled_from(["none", "x", "y", "xo", "yo", "r2", "d1", "d2"]),
+       slack=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)))
+def test_gate_value_matches_the_frozen_gate(x, y, theta, v, c, a, obstacles, g1, g2, d1, d2,
+                                            nan_at, slack):
+    # gate_value, now gate_check over gate_rows, is the frozen one-pass gate bit
+    # for bit: nominal and robust, signed zeros, NaN anywhere, and the first
+    # failing value; a NaN in xo, yo or r2 goes into the last obstacle, so the
+    # obstacles before it decide first. Pruned to a control box that holds
+    # (c, a), the gate keeps the verdict and the first failing value.
+    x, y, d1, d2 = [math.nan if nan_at == k else val
+                    for k, val in (("x", x), ("y", y), ("d1", d1), ("d2", d2))]
+    obs = [(xo, yo, (x - xo) ** 2 + (y - yo) ** 2 if on_edge else r2)
+           for xo, yo, r2, on_edge in obstacles]
+    if obs and nan_at in ("xo", "yo", "r2"):
+        obs[-1] = tuple(math.nan if nan_at == k else val
+                        for k, val in zip(("xo", "yo", "r2"), obs[-1]))
+    frozen = frozen_gate_value(x, y, theta, v, c, a, obs, g1, g2, d1, d2)
+    assert same_float(gate_value(x, y, theta, v, c, a, obs, g1, g2, d1, d2), frozen)
+    if math.isfinite(c) and math.isfinite(a):
+        rows = gate_rows(x, y, theta, v, obs, g1, g2, d1, d2,
+                         abs(c) + slack[0], abs(a) + slack[1])
+        pruned = gate_check(theta, v, rows, c, a, d2)
+        assert (pruned >= 0.0) == (frozen >= 0.0)
+        if not frozen >= 0.0:
+            assert same_float(pruned, frozen)
+
+
+NODE = dict(x=st.floats(-5.0, 5.0), y=st.floats(-5.0, 5.0), theta=st.floats(-4.0, 4.0),
+            v=st.floats(0.0, ROBOT.v_max),
+            obstacles=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+                                         st.floats(0.0, 25.0)), min_size=1, max_size=8),
+            g1=st.floats(1e-2, 1e2), g2=st.floats(1e-2, 1e2),
+            d1=st.floats(0.0, 2.0), d2=st.floats(0.0, 0.99),
+            c_max=st.floats(1e-3, 10.0), a_max=st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(**NODE, interior=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+                                 max_size=8))
+def test_gate_rows_drop_only_obstacles_no_control_in_the_box_fails(
+        x, y, theta, v, obstacles, g1, g2, d1, d2, c_max, a_max, interior):
+    # the value is affine in (c, a) per uncertainty corner, so the box corners
+    # hold its minimum; drawn interior controls check the same claim inside
+    controls = [(-c_max, 0.0), (c_max, 0.0), (-c_max, a_max), (c_max, a_max)]
+    controls += [(fc * c_max, fa * a_max) for fc, fa in interior]
+    kept = ()
+    for ob in obstacles:
+        row = gate_rows(x, y, theta, v, [ob], g1, g2, d1, d2, c_max, a_max)
+        kept += row
+        if not row:
+            for c, a in controls:
+                assert gate_value(x, y, theta, v, c, a, [ob], g1, g2, d1, d2) >= 0.0
+    assert gate_rows(x, y, theta, v, obstacles, g1, g2, d1, d2, c_max, a_max) == kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(**NODE, nan_at=st.sampled_from(["x", "y", "theta", "v", "xo", "yo", "r2"]))
+def test_gate_rows_keep_every_row_under_the_default_box_and_every_nan_row(
+        x, y, theta, v, obstacles, g1, g2, d1, d2, c_max, a_max, nan_at):
+    assert len(gate_rows(x, y, theta, v, obstacles, g1, g2, d1, d2)) == 3 * len(obstacles)
+    # a NaN in the node keeps every row, and one in an obstacle keeps its row
+    x, y, theta, v = [math.nan if nan_at == k else val
+                      for k, val in (("x", x), ("y", y), ("theta", theta), ("v", v))]
+    bad = tuple(math.nan if nan_at == k else val
+                for k, val in zip(("xo", "yo", "r2"), obstacles[0]))
+    rows = gate_rows(x, y, theta, v, [bad] + obstacles[1:], g1, g2, d1, d2, c_max, a_max)
+    kept = 3 * len(obstacles) if nan_at in ("x", "y", "theta", "v") else 3
+    assert len(rows) >= kept and any(r != r for r in rows[:3])
