@@ -24,7 +24,7 @@ import numpy as np
 from .core import CbfParams, ClfParams, State
 from .dynamics import pd_control
 from .qp import ActiveSetQp, QpProblem, QpStatus
-from .safety import barrier_rows
+from .safety import gate_rows
 
 _LYAP_RESIDUAL_TOL = 1e-10
 
@@ -102,10 +102,11 @@ def clf_cbf_qp_control(z: State, e: tuple, obstacles, cbf: CbfParams, clf: ClfPa
 
     Decision variables are the error-system pseudo-control (mu1, mu2) and the
     decrease-row slack dd. One hard barrier row is added per obstacle, given
-    as (xo, yo, r*r) with r the combined radius (core.gate_obstacles).
-    The barrier condition constrains the plant acceleration mu_rm - mu, where
-    mu_rm is the reference feedforward acceleration. The tick rewrites prob,
-    from safety_qp(d, len(obstacles)), in place.
+    as (xo, yo, r*r) with r the combined radius (core.gate_obstacles): the
+    planner gate's (dx, dy, A) row from safety.gate_rows, whose default box keeps
+    every obstacle, read as A + b (mu_rm - mu) >= 0 with b = 2 (dx, dy), mu_rm
+    the reference feedforward acceleration and mu_rm - mu the plant's. The tick
+    rewrites prob, from safety_qp(d, len(obstacles)), in place.
 
     Returns (error-system pseudo-control, slack, V at e). The caller maps to
     the plant via mu_plant = mu_rm - mu and then io_linearize. Raises
@@ -118,11 +119,11 @@ def clf_cbf_qp_control(z: State, e: tuple, obstacles, cbf: CbfParams, clf: ClfPa
     rows[0], rows[1] = LgV
     rhs[0] = -LfV_eQe
     m0, m1 = mu_rm
-    for i, (bx, by, value) in enumerate(
-            barrier_rows(z.x, z.y, z.theta, z.v, obstacles, cbf.gamma1, cbf.gamma2), 2):
+    for i, (dx, dy, A) in enumerate(
+            gate_rows(z.x, z.y, z.theta, z.v, obstacles, cbf.gamma1, cbf.gamma2), 2):
         # A + b (mu_rm - mu) >= 0  ->  b mu <= A + b mu_rm
-        rows[3 * i], rows[3 * i + 1] = bx, by
-        rhs[i] = value + bx * m0 + by * m1
+        rows[3 * i], rows[3 * i + 1] = bx, by = 2.0 * dx, 2.0 * dy
+        rhs[i] = A + bx * m0 + by * m1
 
     sol = solver.solve(prob)
     if sol.status is not QpStatus.OPTIMAL:

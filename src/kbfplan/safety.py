@@ -13,7 +13,10 @@ and differentiating once more gives the affine-in-acceleration condition
     b = 2 [x - xo, y - yo],
 
 where mu = g(z) u is the acceleration pair produced by holding the physical
-control u at state z. The robust gate additionally guards against an unknown
+control u at state z. gate_rows forms the control-free part once, one
+(dx, dy, A) row per obstacle with b = 2 (dx, dy); the planner's gate_check adds
+b mu for a held control, and the follower's CBF-QP reads the same rows as
+b mu <= A + b mu_rm. The robust gate additionally guards against an unknown
 additive error d1 (per-component bound delta1_max) and a multiplicative error
 d2 (|d2| <= delta2_max < 1) acting on mu, by requiring the condition to hold
 at the worst corner of the bound box:
@@ -39,11 +42,12 @@ def barrier_value(z: State, o: Obstacle, r: float) -> float:
 
 def gate_rows(x: float, y: float, theta: float, v: float, obstacles, g1: float, g2: float,
               d1: float = 0.0, d2: float = 0.0, c_max: float = math.inf, a_max: float = math.inf):
-    """The gate's control-free part at (x, y, theta, v): a flat tuple of (dx, dy, A)
-    per obstacle, A with the robust d1 term. An obstacle is left out when A exceeds
+    """The gate's control-free part at (x, y, theta, v): a tuple of (dx, dy, A) rows,
+    b = 2 (dx, dy), A with the robust d1 term. An obstacle is left out when A exceeds
     a bound on |b mu|, d2 corner included, over |c| <= c_max, |a| <= a_max; the float
     steps of gate_check are monotone, so it then passes every control in that box.
-    NaN keeps its row, and the default infinite box keeps every row."""
+    NaN keeps its row, and the default infinite box keeps every row. A row holds
+    dx, not 2 dx: (2 dx) mu1 rounds unlike 2 (dx mu1) where the product is subnormal."""
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     vx, vy, v2 = v * cos_t, v * sin_t, v * v
     kinetic = 2.0 * (vx * vx + vy * vy)
@@ -60,7 +64,7 @@ def gate_rows(x: float, y: float, theta: float, v: float, obstacles, g1: float, 
         if robust:
             A -= d1 * (abs(2.0 * dx) + abs(2.0 * dy))
         if not A > scale * (abs(dx) * m1 + abs(dy) * m2):
-            rows += (dx, dy, A)
+            rows.append((dx, dy, A))
     return tuple(rows)
 
 
@@ -74,8 +78,7 @@ def gate_check(theta: float, v: float, rows, c: float, a: float, d2: float = 0.0
     mu2 = v2 * cos_t * c + sin_t * a
     d2p, d2n = 1.0 + d2, 1.0 - d2
     worst = math.inf
-    it = iter(rows)
-    for dx, dy, A in zip(it, it, it):
+    for dx, dy, A in rows:
         s = 2.0 * (dx * mu1 + dy * mu2)
         if d2 != 0.0:
             sp, sn = s * d2p, s * d2n
@@ -93,22 +96,6 @@ def gate_value(x: float, y: float, theta: float, v: float, c: float, a: float,
     """The (robust) gate condition for holding (c, a) at (x, y, theta, v), over
     obstacles given as (xo, yo, r*r), r the combined radius: gate_check over every row."""
     return gate_check(theta, v, gate_rows(x, y, theta, v, obstacles, g1, g2, d1, d2), c, a, d2)
-
-
-def barrier_rows(x: float, y: float, theta: float, v: float, obstacles, g1: float, g2: float):
-    """Yield (2 dx, 2 dy, A + b mu) per obstacle at zero control, the follower's rows.
-    The last is gate_value(x, y, theta, v, 0.0, 0.0, [ob], g1, g2) bit for bit,
-    signed zeros and NaN included, with sin/cos taken once for all obstacles."""
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    vx, vy, v2 = v * cos_t, v * sin_t, v * v
-    mu1 = -v2 * sin_t * 0.0 + cos_t * 0.0  # the gate's mu at c = a = 0: +-0.0 or NaN
-    mu2 = v2 * cos_t * 0.0 + sin_t * 0.0
-    kinetic = 2.0 * (vx * vx + vy * vy)
-    for xo, yo, r2 in obstacles:
-        dx, dy = x - xo, y - yo
-        Bdot = 2.0 * (dx * vx + dy * vy)
-        B1 = Bdot + g1 * (dx * dx + dy * dy - r2)
-        yield 2.0 * dx, 2.0 * dy, g1 * Bdot + kinetic + g2 * B1 + 2.0 * (dx * mu1 + dy * mu2)
 
 
 def kbf_check(z: State, u: Control, o: Obstacle, r: float, cbf: CbfParams) -> bool:

@@ -141,6 +141,13 @@ def reference_condition(z, u, o, r, cbf):
     return A, b, mu
 
 
+def same_float(a, b):
+    """Bit-level equality up to NaN payload: equal values with equal signs, or both NaN."""
+    if a != a or b != b:
+        return a != a and b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def frozen_gate_value(x, y, theta, v, c, a, obstacles, g1, g2, d1=0.0, d2=0.0):
     """safety.gate_value as it was before the gate was split at the control
     (gate_rows, gate_check): one pass over every obstacle, the first failing

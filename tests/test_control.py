@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_condition
+from oracles import reference_condition, same_float
 
 from kbfplan.core import (CbfParams, ClfParams, Control, Obstacle, RobotParams, State,
                           combined_radius, gate_obstacles)
@@ -13,6 +13,7 @@ from kbfplan.control import (InfeasibleSafety, NotHurwitz, clf_cbf_qp_control,
                              clf_terms, safety_qp, solve_lyapunov)
 from kbfplan.dynamics import pd_control, tracking_error
 from kbfplan.qp import ActiveSetQp
+from kbfplan.safety import gate_rows
 
 ROBOT = RobotParams()
 CBF = CbfParams(1.0, 1.0)
@@ -238,6 +239,47 @@ def test_clf_cbf_qp_barrier_rows_hold_near_obstacle():
         A, b, _ = reference_condition(z, Control(0.0, 0.0), o, r, CBF)
         mu_plant = (-mu_e[0], -mu_e[1])
         assert A + b[0] * mu_plant[0] + b[1] * mu_plant[1] >= -1e-8
+
+
+COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=COORD, y=COORD, theta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0)),
+       v=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, ROBOT.v_max)),
+       nan_at=st.sampled_from(["none", "x", "y", "theta"]),
+       obstacles=st.lists(st.tuples(COORD, COORD, st.floats(0.0, 4.0), st.booleans()),
+                          max_size=6),
+       g1=st.floats(0.1, 5.0), g2=st.floats(0.1, 5.0),
+       mu_rm=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       e=st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+def test_clf_cbf_qp_barrier_rows_are_the_gate_rows(x, y, theta, v, nan_at, obstacles, g1, g2,
+                                                   mu_rm, e):
+    # after one tick, QP row 2 + j is obstacle j's gate row (dx, dy, A) at the
+    # plant state, written as b mu <= A + b mu_rm with b = 2 (dx, dy), bit for
+    # bit; on_edge puts the state on the inflated circle, and a NaN row fails closed
+    x, y, theta = [math.nan if nan_at == k else val
+                   for k, val in (("x", x), ("y", y), ("theta", theta))]
+    obs = [(xo, yo, (x - xo) ** 2 + (y - yo) ** 2 if on_edge else r2)
+           for xo, yo, r2, on_edge in obstacles]
+    z = State(x, y, theta, v)
+    clf = ClfParams()
+    d = solve_lyapunov(clf)
+    prob = safety_qp(d, len(obs))
+    try:
+        clf_cbf_qp_control(z, e, obs, CbfParams(g1, g2), clf, d, ActiveSetQp(), prob, mu_rm)
+        solved = True
+    except InfeasibleSafety:
+        solved = False
+    rows = gate_rows(z.x, z.y, z.theta, z.v, obs, g1, g2)
+    assert len(rows) == len(obs)
+    m0, m1 = mu_rm
+    for j, (dx, dy, A) in enumerate(rows, 2):
+        bx, by = 2.0 * dx, 2.0 * dy
+        assert all(map(same_float, prob.A_ineq[j].tolist(), (bx, by, 0.0)))
+        assert same_float(prob.b_ineq[j], A + bx * m0 + by * m1)
+        if math.isnan(bx) or math.isnan(by) or math.isnan(A):
+            assert not solved
 
 
 def test_clf_cbf_qp_penalty_monotone_in_slack():

@@ -18,7 +18,7 @@ from kbfplan.dynamics import integrate_step
 from kbfplan.planners import (NoPath, Tree, block_draws, plan, plan_robust_rrt_kbf,
                               plan_rrt, plan_rrt_cbf_qp, plan_rrt_kbf,
                               point_segment_distance, segment_collision)
-from kbfplan.safety import kbf_check
+from kbfplan.safety import kbf_check, robust_worst_value
 
 
 def same_plan(a, b):
@@ -168,22 +168,21 @@ def test_kbf_edges_replay_and_pass_gate():
     radii = [combined_radius(o, s.robot) for o in s.obstacles]
     robust = UncertaintyBounds(0.3, 0.3)
     for seed in range(20):
-        for result in (plan_rrt_kbf(s, np.random.default_rng(seed)),
-                       plan_robust_rrt_kbf(s, robust, np.random.default_rng(seed))):
-            for k in range(len(result.waypoints) - 1):
-                w = result.waypoints[k]
-                nxt = result.waypoints[k + 1]
+        for bounds, result in ((None, plan_rrt_kbf(s, np.random.default_rng(seed))),
+                               (robust, plan_robust_rrt_kbf(s, robust,
+                                                            np.random.default_rng(seed)))):
+            for w, nxt in zip(result.waypoints, result.waypoints[1:]):
                 # held controls come from the admissible box
                 assert -s.robot.c_max <= w.control.c <= s.robot.c_max
                 assert 0.0 <= w.control.a <= s.robot.a_max
-                # accepting check re-passes at the parent for every obstacle
+                # accepting check re-passes at the parent for every obstacle,
+                # and a robust plan's at the worst corner of its own bounds
                 for o, r in zip(s.obstacles, radii):
                     assert kbf_check(w.state, w.control, o, r, s.cbf)
+                    if bounds is not None:
+                        assert robust_worst_value(w.state, w.control, o, r, s.cbf, bounds) >= 0.0
                 # stored control reproduces the child state exactly
-                z = integrate_step(w.state, w.control, s.planner.dt, s.robot)
-                assert math.hypot(z.x - nxt.state.x, z.y - nxt.state.y) <= 1e-9
-                assert abs(z.theta - nxt.state.theta) <= 1e-9
-                assert abs(z.v - nxt.state.v) <= 1e-9
+                assert integrate_step(w.state, w.control, s.planner.dt, s.robot) == nxt.state
 
 
 def test_kbf_tree_parent_structure():

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import frozen_gate_value, reference_condition, robust_worst_grid
+from oracles import frozen_gate_value, reference_condition, robust_worst_grid, same_float
 
 from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
                           RobotParams, Scenario, State, UncertaintyBounds)
 from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_kbf
-from kbfplan.safety import (barrier_rows, barrier_value, gate_check, gate_rows, gate_value,
-                            kbf_check, robust_worst_value)
+from kbfplan.safety import (barrier_value, gate_check, gate_rows, gate_value, kbf_check,
+                            robust_worst_value)
 
 CBF = CbfParams(1.0, 1.0)
 ROBOT = RobotParams()
@@ -232,37 +232,8 @@ def test_sample_control_deterministic():
     assert traces[0] != traces[2]
 
 
-def same_float(a, b):
-    """Bit-level equality up to NaN payload: equal values with equal signs, or both NaN."""
-    if a != a or b != b:
-        return a != a and b != b
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
 COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
 OBSTACLE = st.tuples(COORD, COORD, st.floats(0.0, 4.0), st.booleans())
-
-
-@settings(max_examples=400, deadline=None)
-@given(x=COORD, y=COORD, theta=st.floats(-4.0, 4.0),
-       v=st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf]), st.floats(-1.5, 1.5)),
-       nan_at=st.sampled_from(["none", "x", "y", "theta"]),
-       obstacles=st.lists(OBSTACLE, max_size=6),
-       g1=st.floats(0.1, 5.0), g2=st.floats(0.1, 5.0))
-def test_barrier_rows_match_the_zero_control_gate(x, y, theta, v, nan_at, obstacles, g1, g2):
-    # one pass over the obstacles gives, per obstacle, exactly the gate's value
-    # at c = a = 0 and the row normal 2 (z - o); on_edge puts the state on the
-    # inflated circle, and an infinite speed makes the zero-control term NaN
-    if nan_at != "none":
-        x, y, theta = [math.nan if nan_at == k else val
-                       for k, val in (("x", x), ("y", y), ("theta", theta))]
-    obs = [(xo, yo, (x - xo) ** 2 + (y - yo) ** 2 if on_edge else r2)
-           for xo, yo, r2, on_edge in obstacles]
-    rows = list(barrier_rows(x, y, theta, v, obs, g1, g2))
-    assert len(rows) == len(obs)
-    for (bx, by, value), ob in zip(rows, obs):
-        assert same_float(value, gate_value(x, y, theta, v, 0.0, 0.0, [ob], g1, g2))
-        assert same_float(bx, 2.0 * (x - ob[0])) and same_float(by, 2.0 * (y - ob[1]))
 
 
 SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
@@ -278,6 +249,10 @@ SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
        d2=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.99)),
        nan_at=st.sampled_from(["none", "x", "y", "xo", "yo", "r2", "d1", "d2"]),
        slack=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)))
+# at rest on the circle A is 0, and dx mu1 = 1.5 * 5e-324 is subnormal: the frozen
+# 2 (dx mu1) reads 2e-323 where (2 dx) mu1 would read 1.5e-323
+@example(x=1.5, y=0.0, theta=0.0, v=0.0, c=0.0, a=5e-324, obstacles=[(0.0, 0.0, 0.0, True)],
+         g1=1.0, g2=1.0, d1=0.0, d2=0.0, nan_at="none", slack=(0.0, 0.0))
 def test_gate_value_matches_the_frozen_gate(x, y, theta, v, c, a, obstacles, g1, g2, d1, d2,
                                             nan_at, slack):
     # gate_value, now gate_check over gate_rows, is the frozen one-pass gate bit
@@ -335,12 +310,13 @@ def test_gate_rows_drop_only_obstacles_no_control_in_the_box_fails(
 @given(**NODE, nan_at=st.sampled_from(["x", "y", "theta", "v", "xo", "yo", "r2"]))
 def test_gate_rows_keep_every_row_under_the_default_box_and_every_nan_row(
         x, y, theta, v, obstacles, g1, g2, d1, d2, c_max, a_max, nan_at):
-    assert len(gate_rows(x, y, theta, v, obstacles, g1, g2, d1, d2)) == 3 * len(obstacles)
+    rows = gate_rows(x, y, theta, v, obstacles, g1, g2, d1, d2)
+    assert len(rows) == len(obstacles) and all(len(row) == 3 for row in rows)
     # a NaN in the node keeps every row, and one in an obstacle keeps its row
     x, y, theta, v = [math.nan if nan_at == k else val
                       for k, val in (("x", x), ("y", y), ("theta", theta), ("v", v))]
     bad = tuple(math.nan if nan_at == k else val
                 for k, val in zip(("xo", "yo", "r2"), obstacles[0]))
     rows = gate_rows(x, y, theta, v, [bad] + obstacles[1:], g1, g2, d1, d2, c_max, a_max)
-    kept = 3 * len(obstacles) if nan_at in ("x", "y", "theta", "v") else 3
-    assert len(rows) >= kept and any(r != r for r in rows[:3])
+    kept = len(obstacles) if nan_at in ("x", "y", "theta", "v") else 1
+    assert len(rows) >= kept and any(r != r for r in rows[0])
