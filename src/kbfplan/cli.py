@@ -366,14 +366,15 @@ def _cmd_simulate(args) -> int:
                          f"{BUDGET_MARGIN / MAX_TICKS:g} s, got {args.dt_ctrl:g}")
     _, perceived, result, _ = _planned(args, name, scenario, args.pos_err, args.radius_err)
     try:
-        traj = follow_path(result, scenario, dt_ctrl=args.dt_ctrl,
-                           perceived_obstacles=perceived.obstacles)
-    except FollowFailure as exc:
+        traj, failed = follow_path(result, scenario, dt_ctrl=args.dt_ctrl,
+                                   perceived_obstacles=perceived.obstacles), False
+    except FollowFailure as exc:  # reported like a finished follow, on its partial run
         print(f"follower failed on {name}: {exc}", file=sys.stderr)
-        return 1
+        traj, failed = exc.trajectory, True
     worst = min_barrier(traj)
     lowest = worst[0] if worst is not None else math.inf
-    print(f"{args.planner} on {name}: followed {traj.samples[-1].t:.2f} s, "
+    print(f"{args.planner} on {name}: followed "
+          f"{traj.samples[-1].t if traj.samples else 0.0:.2f} s, "
           f"{len(traj.samples)} ticks, min barrier {lowest:.4f}")
     if args.out:
         write_trajectory_csv(traj, args.out)
@@ -385,7 +386,7 @@ def _cmd_simulate(args) -> int:
         print(f"follower entered obstacles[{worst[2]}] on {name}: true barrier "
               f"{lowest:.4f} at t={worst[1]:.2f} s", file=sys.stderr)
         return 1
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_bench(args) -> int:

@@ -183,7 +183,7 @@ def combined_radius(o: Obstacle, robot: RobotParams) -> float:
 
 
 def gate_obstacles(obstacles, robot: RobotParams) -> list[tuple[float, float, float]]:
-    """(xo, yo, r*r) per obstacle, r the combined radius: the form safety.gate_value takes."""
+    """(xo, yo, r*r) per obstacle, r the combined radius: the form safety.gate_rows takes."""
     radii = [combined_radius(o, robot) for o in obstacles]
     return [(o.x, o.y, r * r) for o, r in zip(obstacles, radii)]
 

@@ -91,21 +91,15 @@ def gate_check(theta: float, v: float, rows, c: float, a: float, d2: float = 0.0
     return worst
 
 
-def gate_value(x: float, y: float, theta: float, v: float, c: float, a: float,
-               obstacles, g1: float, g2: float, d1: float = 0.0, d2: float = 0.0) -> float:
-    """The (robust) gate condition for holding (c, a) at (x, y, theta, v), over
-    obstacles given as (xo, yo, r*r), r the combined radius: gate_check over every row."""
-    return gate_check(theta, v, gate_rows(x, y, theta, v, obstacles, g1, g2, d1, d2), c, a, d2)
-
-
 def kbf_check(z: State, u: Control, o: Obstacle, r: float, cbf: CbfParams) -> bool:
     """Nominal gate: True (pass) iff the barrier condition holds at (z, u)."""
-    return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],
-                      cbf.gamma1, cbf.gamma2) >= 0.0
+    rows = gate_rows(z.x, z.y, z.theta, z.v, [(o.x, o.y, r * r)], cbf.gamma1, cbf.gamma2)
+    return gate_check(z.theta, z.v, rows, u.c, u.a) >= 0.0
 
 
 def robust_worst_value(z: State, u: Control, o: Obstacle, r: float,
                        cbf: CbfParams, bounds: UncertaintyBounds) -> float:
     """Worst value of the gate condition over the uncertainty box."""
-    return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],
-                      cbf.gamma1, cbf.gamma2, bounds.delta1_max, bounds.delta2_max)
+    d1, d2 = bounds.delta1_max, bounds.delta2_max
+    rows = gate_rows(z.x, z.y, z.theta, z.v, [(o.x, o.y, r * r)], cbf.gamma1, cbf.gamma2, d1, d2)
+    return gate_check(z.theta, z.v, rows, u.c, u.a, d2)

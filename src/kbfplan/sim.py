@@ -11,7 +11,6 @@ against the *true* obstacles, for the perception audits.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -82,10 +81,6 @@ class ClosedLoop:
         u = io_linearize(z, (mu_rm[0] - mu_e[0], mu_rm[1] - mu_e[1]), self.robot)
         return u, slack, V, integrate_step(z, u, self.dt, self.robot)
 
-    def barriers(self, z: State) -> tuple[float, ...]:
-        """The barrier value of z for each true obstacle."""
-        return tuple([barrier_value(z, o, r) for o, r in self.true_obs])
-
 
 class _PlanReference:
     """Piecewise-linear reference built from plan waypoints.
@@ -96,50 +91,52 @@ class _PlanReference:
     point, so the reference is extended by one synthetic segment from the
     last waypoint to the goal position; the vehicle crosses the goal region
     at speed instead of trying to stop just outside it. Beyond the last
-    timestamp the reference holds position with zero velocity.
+    timestamp the reference holds position with zero velocity. Each segment's
+    row is formed once; eval's times must not decrease from call to call.
     """
 
     def __init__(self, plan: PlanResult, goal_xy: tuple[float, float]):
         wps = plan.waypoints
-        self.times = [w.t for w in wps]
-        self.px = [w.state.x for w in wps]
-        self.py = [w.state.y for w in wps]
-        dist = math.hypot(goal_xy[0] - self.px[-1], goal_xy[1] - self.py[-1])
+        times = [w.t for w in wps]
+        px = [w.state.x for w in wps]
+        py = [w.state.y for w in wps]
+        dist = math.hypot(goal_xy[0] - px[-1], goal_xy[1] - py[-1])
         if dist > 1e-9:
-            if len(self.times) > 1:
-                last_span = self.times[-1] - self.times[-2]
-                last_len = math.hypot(self.px[-1] - self.px[-2],
-                                      self.py[-1] - self.py[-2])
+            if len(times) > 1:
+                last_span = times[-1] - times[-2]
+                last_len = math.hypot(px[-1] - px[-2], py[-1] - py[-2])
                 speed = max(last_len / last_span, 0.1)
             else:
                 speed = 0.5
-            self.times.append(self.times[-1] + dist / speed)
-            self.px.append(goal_xy[0])
-            self.py.append(goal_xy[1])
-        spans = [b - a for a, b in zip(self.times, self.times[1:])]
-        self.vx = [(b - a) / h for a, b, h in zip(self.px, self.px[1:], spans)] + [0.0]
-        self.vy = [(b - a) / h for a, b, h in zip(self.py, self.py[1:], spans)] + [0.0]
-        self.duration = self.times[-1]
-        self.k = 0  # the segment of the last eval; ticks only move forward
+            times.append(times[-1] + dist / speed)
+            px.append(goal_xy[0])
+            py.append(goal_xy[1])
+        spans = [b - a for a, b in zip(times, times[1:])]
+        vx = [(b - a) / h for a, b, h in zip(px, px[1:], spans)] + [0.0]
+        vy = [(b - a) / h for a, b, h in zip(py, py[1:], spans)] + [0.0]
+        # per segment: end and start time, span, the start and change of x, y, vx
+        # and vy, and the acceleration pair
+        self.segments = []
+        for k, h in enumerate(spans):
+            dvx, dvy = vx[k + 1] - vx[k], vy[k + 1] - vy[k]
+            self.segments.append((times[k + 1], times[k], h, px[k], px[k + 1] - px[k], py[k],
+                                  py[k + 1] - py[k], vx[k], dvx, vy[k], dvy, (dvx / h, dvy / h)))
+        self.start = ((px[0], py[0]), (vx[0], vy[0]), (0.0, 0.0))
+        self.end = ((px[-1], py[-1]), (0.0, 0.0), (0.0, 0.0))
+        self.duration = times[-1]
+        self.k = 0  # the segment of the last eval
 
     def eval(self, t: float):
         """(pos, vel, acc) of the reference at time t."""
         if t <= 0.0:
-            return ((self.px[0], self.py[0]), (self.vx[0], self.vy[0]), (0.0, 0.0))
+            return self.start
         if t >= self.duration:
-            return ((self.px[-1], self.py[-1]), (0.0, 0.0), (0.0, 0.0))
-        k = self.k
-        if not self.times[k] <= t < self.times[k + 1]:
-            k = self.k = bisect.bisect_right(self.times, t) - 1
-        span = self.times[k + 1] - self.times[k]
-        s = (t - self.times[k]) / span
-        pos = (self.px[k] + s * (self.px[k + 1] - self.px[k]),
-               self.py[k] + s * (self.py[k + 1] - self.py[k]))
-        vel = (self.vx[k] + s * (self.vx[k + 1] - self.vx[k]),
-               self.vy[k] + s * (self.vy[k + 1] - self.vy[k]))
-        acc = ((self.vx[k + 1] - self.vx[k]) / span,
-               (self.vy[k + 1] - self.vy[k]) / span)
-        return pos, vel, acc
+            return self.end
+        while t >= self.segments[self.k][0]:
+            self.k += 1
+        _, t0, span, x0, dx, y0, dy, vx0, dvx, vy0, dvy, acc = self.segments[self.k]
+        s = (t - t0) / span
+        return (x0 + s * dx, y0 + s * dy), (vx0 + s * dvx, vy0 + s * dvy), acc
 
 
 def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
@@ -173,10 +170,11 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
     while True:
         pos, vel, acc = ref.eval(t)
         e = tracking_error(z, pos, vel)
+        b_values = tuple([barrier_value(z, o, r) for o, r in loop.true_obs])
         dx = z.x - gx
         dy = z.y - gy
         if dx * dx + dy * dy <= tol2:
-            samples.append(TrajectorySample(t, z, Control(0.0, 0.0), loop.barriers(z),
+            samples.append(TrajectorySample(t, z, Control(0.0, 0.0), b_values,
                                             clf_terms(e, loop.data)[0], 0.0))
             return Trajectory(tuple(samples))
         if t > budget:
@@ -185,7 +183,7 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
             u, slack, V, z_next = loop.tick(z, e, acc)
         except InfeasibleSafety as exc:
             raise ControllerInfeasible(t, Trajectory(tuple(samples))) from exc
-        samples.append(TrajectorySample(t, z, u, loop.barriers(z), V, slack))
+        samples.append(TrajectorySample(t, z, u, b_values, V, slack))
         z = z_next
         t += dt_ctrl
 

@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from kbfplan.planners import (K_SIM, SAMPLE_TOLERANCE, STEER_SPEED_FRAC, NoPath,
 from kbfplan.qp import ActiveSetQp
 from kbfplan.safety import barrier_value
 from kbfplan.sim import (DT_CTRL_DEFAULT, ControllerInfeasible, TimeBudgetExceeded, Trajectory,
-                         TrajectorySample, _PlanReference)
+                         TrajectorySample)
 
 
 def objective(H, f, x):
@@ -118,7 +119,7 @@ def robust_worst_grid(A_val, bx, by, s_mu, d1_max, d2_max, n=21):
 # ---------------------------------------------------------------------------
 # The barrier condition A + b mu >= 0 and the decoupling matrix g(z), written
 # out from the formulas in the safety and dynamics module docstrings. They
-# share no code with safety.gate_value or dynamics.io_linearize.
+# share no code with safety.gate_rows, safety.gate_check or dynamics.io_linearize.
 # ---------------------------------------------------------------------------
 
 def reference_g(z):
@@ -455,6 +456,60 @@ def reference_plan_rrt_cbf_qp(s, rng):
 
 
 # ---------------------------------------------------------------------------
+# The follower's reference, frozen from before each segment's row was formed
+# once: parallel lists of vertex times, positions and velocities, a bisect
+# fallback when t leaves the last segment, and each segment's differences and
+# acceleration recomputed on every eval. sim._PlanReference must reproduce it
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+class FrozenPlanReference:
+    """Piecewise-linear reference through the waypoints and on to the goal point."""
+
+    def __init__(self, plan, goal_xy):
+        wps = plan.waypoints
+        self.times = [w.t for w in wps]
+        self.px = [w.state.x for w in wps]
+        self.py = [w.state.y for w in wps]
+        dist = math.hypot(goal_xy[0] - self.px[-1], goal_xy[1] - self.py[-1])
+        if dist > 1e-9:
+            if len(self.times) > 1:
+                last_span = self.times[-1] - self.times[-2]
+                last_len = math.hypot(self.px[-1] - self.px[-2],
+                                      self.py[-1] - self.py[-2])
+                speed = max(last_len / last_span, 0.1)
+            else:
+                speed = 0.5
+            self.times.append(self.times[-1] + dist / speed)
+            self.px.append(goal_xy[0])
+            self.py.append(goal_xy[1])
+        spans = [b - a for a, b in zip(self.times, self.times[1:])]
+        self.vx = [(b - a) / h for a, b, h in zip(self.px, self.px[1:], spans)] + [0.0]
+        self.vy = [(b - a) / h for a, b, h in zip(self.py, self.py[1:], spans)] + [0.0]
+        self.duration = self.times[-1]
+        self.k = 0
+
+    def eval(self, t):
+        """(pos, vel, acc) of the reference at time t."""
+        if t <= 0.0:
+            return ((self.px[0], self.py[0]), (self.vx[0], self.vy[0]), (0.0, 0.0))
+        if t >= self.duration:
+            return ((self.px[-1], self.py[-1]), (0.0, 0.0), (0.0, 0.0))
+        k = self.k
+        if not self.times[k] <= t < self.times[k + 1]:
+            k = self.k = bisect.bisect_right(self.times, t) - 1
+        span = self.times[k + 1] - self.times[k]
+        s = (t - self.times[k]) / span
+        pos = (self.px[k] + s * (self.px[k + 1] - self.px[k]),
+               self.py[k] + s * (self.py[k + 1] - self.py[k]))
+        vel = (self.vx[k] + s * (self.vx[k + 1] - self.vx[k]),
+               self.vy[k] + s * (self.vy[k + 1] - self.vy[k]))
+        acc = ((self.vx[k + 1] - self.vx[k]) / span,
+               (self.vy[k + 1] - self.vy[k]) / span)
+        return pos, vel, acc
+
+
+# ---------------------------------------------------------------------------
 # Reference follower tick, frozen from before the follower's QP was set up
 # once per follow: a fresh np.diag Hessian and fresh row arrays each tick, an
 # np.allclose symmetry check, numpy-indexed PD gains, combined_radius per
@@ -605,13 +660,13 @@ def reference_qp_control(z, e, obstacles, robot, cbf, clf, d, solver, mu_rm=(0.0
 
 
 def reference_follow_path(plan, s, perceived_obstacles=None):
-    """follow_path at the default period and budget, on the frozen tick."""
+    """follow_path at the default period and budget, on the frozen tick and reference."""
     dt_ctrl = DT_CTRL_DEFAULT
     if perceived_obstacles is None:
         perceived_obstacles = s.obstacles
     data = solve_lyapunov(s.clf)
     solver = ReferenceQp()
-    ref = _PlanReference(plan, (s.goal.x, s.goal.y))
+    ref = FrozenPlanReference(plan, (s.goal.x, s.goal.y))
     time_budget = ref.duration + 10.0
     true_radii = [combined_radius(o, s.robot) for o in s.obstacles]
     tol2 = s.planner.goal_tolerance ** 2

@@ -18,9 +18,11 @@ from kbfplan.cli import (BENCH_CSV_HEADER, bundled_scenario_names, emit_svg,
                          format_bench_table, inject_perception_error,
                          load_bundled_scenario, load_scenario, main, run_bench,
                          write_bench_csv)
-from kbfplan.core import ParseError, Scenario, UncertaintyBounds, validate_scenario
+from kbfplan.core import (Control, ParseError, Scenario, State, UncertaintyBounds,
+                          validate_scenario)
 from kbfplan.planners import NoPath, plan, plan_rrt
-from kbfplan.sim import BUDGET_MARGIN, MAX_TICKS, follow_path
+from kbfplan.sim import (BUDGET_MARGIN, MAX_TICKS, ControllerInfeasible, TimeBudgetExceeded,
+                         Trajectory, TrajectorySample, follow_path)
 
 
 MINIMAL = {
@@ -251,6 +253,39 @@ def test_main_simulate_fails_closed_on_barrier_violation(tmp_path, capsys):
     assert "min barrier -0.2252" in captured.out
     assert "obstacles[4]" in captured.err and "-0.2252 at t=" in captured.err
     assert out.read_text().startswith("t,x,y,theta,v,c,a,minB,V,d")
+
+
+def test_main_simulate_reports_a_failed_follow_like_a_finished_one(monkeypatch, tmp_path,
+                                                                    capsys):
+    # the partial run of a failed follow gets the summary, the CSV and the
+    # barrier check; here it also went below the floor against obstacles[1]
+    samples = tuple(TrajectorySample(t, State(1.0, t, 0.0, 0.5), Control(0.0, 0.1), (0.3, b),
+                                     1.0, 0.0) for t, b in ((0.0, 0.1), (0.02, -0.25)))
+
+    def failing(plan, s, **kwargs):
+        raise TimeBudgetExceeded(0.04, Trajectory(samples))
+
+    monkeypatch.setattr(cli, "follow_path", failing)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--scenario", "scenario1", "--seed", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "follower failed on scenario1: goal not reached within 0.040s" in captured.err
+    assert "follower entered obstacles[1] on scenario1: true barrier -0.2500 at t=0.02 s" \
+        in captured.err
+    assert "followed 0.02 s, 2 ticks, min barrier -0.2500" in captured.out
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [float(row[0]) for row in rows[1:]] == [0.0, 0.02]
+
+
+def test_main_simulate_reports_a_failed_follow_with_no_ticks(monkeypatch, capsys):
+    def failing(plan, s, **kwargs):
+        raise ControllerInfeasible(0.0, Trajectory(()))
+
+    monkeypatch.setattr(cli, "follow_path", failing)
+    assert main(["simulate", "--scenario", "scenario1", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "follower failed on scenario1: controller infeasible at t=0.000s" in captured.err
+    assert "followed 0.00 s, 0 ticks, min barrier inf" in captured.out
 
 
 def test_python_m_kbfplan_runs_the_cli():

@@ -131,10 +131,13 @@ def _skewed(size):
 # Every single-field rule and every cross-field rule, written out by hand rather
 # than read from the annotations, so dropping one of them fails here: the
 # keyword arguments to basic_scenario that break it, and the one violation due.
+# A row's test id is <field>-<kind>; a row that shares both with another row
+# carries its own fixed tag, so adding a row renames no existing id.
 RULES = [
     (dict(robot=RobotParams(L=0.0)), "NonPositiveParameter", "robot.L"),
-    (dict(robot=RobotParams(psi_max=-0.1)), "NonPositiveParameter", "robot.psi_max"),
-    (dict(robot=RobotParams(psi_max=math.inf)), "NonPositiveParameter", "robot.psi_max"),
+    (dict(robot=RobotParams(psi_max=-0.1)), "NonPositiveParameter", "robot.psi_max", "0"),
+    (dict(robot=RobotParams(psi_max=math.inf)), "NonPositiveParameter", "robot.psi_max",
+     "1"),
     (dict(robot=RobotParams(psi_max=math.pi / 2)), "ParameterOutOfRange", "robot.psi_max"),
     (dict(robot=RobotParams(a_max=-1.0)), "NonPositiveParameter", "robot.a_max"),
     (dict(robot=RobotParams(v_max=math.inf)), "NonPositiveParameter", "robot.v_max"),
@@ -150,19 +153,20 @@ RULES = [
     # contain infs or NaNs" without naming the field, or read "must be symmetric"
     (dict(clf=ClfParams(K_P=[[1.0, math.inf], [math.inf, 1.0]])), "NonFiniteParameter",
      "clf.K_P"),
-    (dict(clf=ClfParams(K_P=_skewed(2))), "ParameterOutOfRange", "clf.K_P"),
-    (dict(clf=ClfParams(K_P=-1.0)), "ParameterOutOfRange", "clf.K_P"),
-    (dict(clf=ClfParams(K_D=[[math.nan, 0.0], [0.0, 1.0]])), "NonFiniteParameter", "clf.K_D"),
-    (dict(clf=ClfParams(K_D=math.inf)), "NonFiniteParameter", "clf.K_D"),
-    (dict(clf=ClfParams(K_D=_skewed(2))), "ParameterOutOfRange", "clf.K_D"),
-    (dict(clf=ClfParams(K_D=0.0)), "ParameterOutOfRange", "clf.K_D"),
+    (dict(clf=ClfParams(K_P=_skewed(2))), "ParameterOutOfRange", "clf.K_P", "0"),
+    (dict(clf=ClfParams(K_P=-1.0)), "ParameterOutOfRange", "clf.K_P", "1"),
+    (dict(clf=ClfParams(K_D=[[math.nan, 0.0], [0.0, 1.0]])), "NonFiniteParameter", "clf.K_D",
+     "0"),
+    (dict(clf=ClfParams(K_D=math.inf)), "NonFiniteParameter", "clf.K_D", "1"),
+    (dict(clf=ClfParams(K_D=_skewed(2))), "ParameterOutOfRange", "clf.K_D", "0"),
+    (dict(clf=ClfParams(K_D=0.0)), "ParameterOutOfRange", "clf.K_D", "1"),
     (dict(clf=ClfParams(Q=np.diag([1.0, 1.0, 1.0, math.inf]).tolist())),
-     "NonFiniteParameter", "clf.Q"),
+     "NonFiniteParameter", "clf.Q", "0"),
     (dict(clf=ClfParams(Q=np.diag([1.0, -math.inf, 1.0, 1.0]).tolist())),
-     "NonFiniteParameter", "clf.Q"),
-    (dict(clf=ClfParams(Q=_skewed(4))), "ParameterOutOfRange", "clf.Q"),
+     "NonFiniteParameter", "clf.Q", "1"),
+    (dict(clf=ClfParams(Q=_skewed(4))), "ParameterOutOfRange", "clf.Q", "0"),
     (dict(clf=ClfParams(Q=np.diag([1.0, 1.0, 1.0, -1.0]).tolist())),
-     "ParameterOutOfRange", "clf.Q"),
+     "ParameterOutOfRange", "clf.Q", "1"),
     (dict(planner=PlannerConfig(step_size=0.0)), "NonPositiveParameter", "planner.step_size"),
     (dict(planner=PlannerConfig(dt=-0.1)), "NonPositiveParameter", "planner.dt"),
     (dict(planner=PlannerConfig(max_iters=0)), "NonPositiveParameter", "planner.max_iters"),
@@ -177,13 +181,14 @@ RULES = [
     (dict(goal=State(4.0, 7.0)), "GoalOutOfBounds", "goal"),
     (dict(start=State(0.0, 0.0, math.nan)), "NonFiniteParameter", "start.theta"),
     (dict(goal=State(4.0, 4.0, math.nan)), "NonFiniteParameter", "goal.theta"),
-    (dict(start=State(0.0, 0.0, 0.0, -0.1)), "ParameterOutOfRange", "start.v"),
-    (dict(start=State(0.0, 0.0, 0.0, 1.3)), "ParameterOutOfRange", "start.v"),
+    (dict(start=State(0.0, 0.0, 0.0, -0.1)), "ParameterOutOfRange", "start.v", "0"),
+    (dict(start=State(0.0, 0.0, 0.0, 1.3)), "ParameterOutOfRange", "start.v", "1"),
 ]
+RULE_IDS = [f"{where}-{kind}{''.join(tag)}" for _, kind, where, *tag in RULES]
+assert len(set(RULE_IDS)) == len(RULE_IDS), "tag the new row: pytest numbers equal ids"
 
 
-@pytest.mark.parametrize("overrides, kind, where", RULES,
-                         ids=[f"{where}-{kind}" for _, kind, where in RULES])
+@pytest.mark.parametrize("overrides, kind, where", [row[:3] for row in RULES], ids=RULE_IDS)
 def test_validate_rule_table(overrides, kind, where):
     with pytest.raises(ScenarioValidationError) as exc:
         validate_scenario(basic_scenario(**overrides))

@@ -10,8 +10,7 @@ from oracles import frozen_gate_value, reference_condition, robust_worst_grid, s
 from kbfplan.core import (Bounds, CbfParams, Control, Obstacle, PlannerConfig,
                           RobotParams, Scenario, State, UncertaintyBounds)
 from kbfplan.planners import NoPath, plan_robust_rrt_kbf, plan_rrt_kbf
-from kbfplan.safety import (barrier_value, gate_check, gate_rows, gate_value, kbf_check,
-                            robust_worst_value)
+from kbfplan.safety import barrier_value, gate_check, gate_rows, kbf_check, robust_worst_value
 
 CBF = CbfParams(1.0, 1.0)
 ROBOT = RobotParams()
@@ -29,8 +28,8 @@ def random_tuple(rng):
 
 def nominal_value(z, u, o, r, cbf):
     """The nominal gate condition A + b.mu for one obstacle."""
-    return gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [(o.x, o.y, r * r)],
-                      cbf.gamma1, cbf.gamma2)
+    rows = gate_rows(z.x, z.y, z.theta, z.v, [(o.x, o.y, r * r)], cbf.gamma1, cbf.gamma2)
+    return gate_check(z.theta, z.v, rows, u.c, u.a)
 
 
 def condition_terms(z, o, r, cbf):
@@ -160,11 +159,11 @@ def test_gate_fails_closed_on_nan_obstacle():
     for bad in ((3.0, math.nan, 1.0), (math.nan, 0.0, 1.0), (3.0, 0.0, math.nan)):
         for obstacles, bounds in (([bad], (0.0, 0.0)), ([safe, bad], (0.0, 0.0)),
                                   ([safe, bad], (0.3, 0.3))):
-            value = gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, obstacles,
-                               1.0, 1.0, *bounds)
-            assert not value >= 0.0
+            rows = gate_rows(z.x, z.y, z.theta, z.v, obstacles, 1.0, 1.0, *bounds)
+            assert not gate_check(z.theta, z.v, rows, u.c, u.a, bounds[1]) >= 0.0
     assert not kbf_check(z, u, Obstacle(3.0, math.nan, 1.0), 1.25, CBF)
-    assert gate_value(z.x, z.y, z.theta, z.v, u.c, u.a, [safe], 1.0, 1.0) >= 0.0
+    rows = gate_rows(z.x, z.y, z.theta, z.v, [safe], 1.0, 1.0)
+    assert gate_check(z.theta, z.v, rows, u.c, u.a) >= 0.0
 
 
 def test_gate_value_is_the_worst_obstacle_value():
@@ -176,9 +175,10 @@ def test_gate_value_is_the_worst_obstacle_value():
                      for _ in range(int(rng.integers(1, 5)))]
         radii = [o.r + ROBOT.r_r for o in obstacles]
         values = [robust_worst_value(z, u, o, r, cbf, bounds) for o, r in zip(obstacles, radii)]
-        value = gate_value(z.x, z.y, z.theta, z.v, u.c, u.a,
-                           [(o.x, o.y, r * r) for o, r in zip(obstacles, radii)],
-                           cbf.gamma1, cbf.gamma2, bounds.delta1_max, bounds.delta2_max)
+        rows = gate_rows(z.x, z.y, z.theta, z.v,
+                         [(o.x, o.y, r * r) for o, r in zip(obstacles, radii)],
+                         cbf.gamma1, cbf.gamma2, bounds.delta1_max, bounds.delta2_max)
+        value = gate_check(z.theta, z.v, rows, u.c, u.a, bounds.delta2_max)
         if all(v >= 0.0 for v in values):
             assert value == min(values)
         else:
@@ -255,11 +255,12 @@ SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
          g1=1.0, g2=1.0, d1=0.0, d2=0.0, nan_at="none", slack=(0.0, 0.0))
 def test_gate_value_matches_the_frozen_gate(x, y, theta, v, c, a, obstacles, g1, g2, d1, d2,
                                             nan_at, slack):
-    # gate_value, now gate_check over gate_rows, is the frozen one-pass gate bit
+    # gate_check over every row of gate_rows is the frozen one-pass gate bit
     # for bit: nominal and robust, signed zeros, NaN anywhere, and the first
     # failing value; a NaN in xo, yo or r2 goes into the last obstacle, so the
     # obstacles before it decide first. Pruned to a control box that holds
-    # (c, a), the gate keeps the verdict and the first failing value.
+    # (c, a), the gate keeps the verdict and the first failing value. For one
+    # obstacle, kbf_check and robust_worst_value compose the same halves.
     x, y, d1, d2 = [math.nan if nan_at == k else val
                     for k, val in (("x", x), ("y", y), ("d1", d1), ("d2", d2))]
     obs = [(xo, yo, (x - xo) ** 2 + (y - yo) ** 2 if on_edge else r2)
@@ -268,7 +269,8 @@ def test_gate_value_matches_the_frozen_gate(x, y, theta, v, c, a, obstacles, g1,
         obs[-1] = tuple(math.nan if nan_at == k else val
                         for k, val in zip(("xo", "yo", "r2"), obs[-1]))
     frozen = frozen_gate_value(x, y, theta, v, c, a, obs, g1, g2, d1, d2)
-    assert same_float(gate_value(x, y, theta, v, c, a, obs, g1, g2, d1, d2), frozen)
+    rows = gate_rows(x, y, theta, v, obs, g1, g2, d1, d2)
+    assert same_float(gate_check(theta, v, rows, c, a, d2), frozen)
     if math.isfinite(c) and math.isfinite(a):
         rows = gate_rows(x, y, theta, v, obs, g1, g2, d1, d2,
                          abs(c) + slack[0], abs(a) + slack[1])
@@ -276,6 +278,14 @@ def test_gate_value_matches_the_frozen_gate(x, y, theta, v, c, a, obstacles, g1,
         assert (pruned >= 0.0) == (frozen >= 0.0)
         if not frozen >= 0.0:
             assert same_float(pruned, frozen)
+    if len(obs) == 1 and nan_at not in ("d1", "d2"):  # UncertaintyBounds rejects NaN
+        [(xo, yo, r2)] = obs
+        z, u, r = State(x, y, theta, v), Control(c, a), math.sqrt(r2)  # State wraps theta
+        o, cbf, one = Obstacle(xo, yo, r), CbfParams(g1, g2), [(xo, yo, r * r)]
+        nominal = frozen_gate_value(x, y, z.theta, v, c, a, one, g1, g2)
+        assert kbf_check(z, u, o, r, cbf) == (nominal >= 0.0)
+        assert same_float(robust_worst_value(z, u, o, r, cbf, UncertaintyBounds(d1, d2)),
+                          frozen_gate_value(x, y, z.theta, v, c, a, one, g1, g2, d1, d2))
 
 
 NODE = dict(x=st.floats(-5.0, 5.0), y=st.floats(-5.0, 5.0), theta=st.floats(-4.0, 4.0),
@@ -301,8 +311,9 @@ def test_gate_rows_drop_only_obstacles_no_control_in_the_box_fails(
         row = gate_rows(x, y, theta, v, [ob], g1, g2, d1, d2, c_max, a_max)
         kept += row
         if not row:
+            every = gate_rows(x, y, theta, v, [ob], g1, g2, d1, d2)
             for c, a in controls:
-                assert gate_value(x, y, theta, v, c, a, [ob], g1, g2, d1, d2) >= 0.0
+                assert gate_check(theta, v, every, c, a, d2) >= 0.0
     assert gate_rows(x, y, theta, v, obstacles, g1, g2, d1, d2, c_max, a_max) == kept
 
 

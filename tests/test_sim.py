@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ReferenceQp, reference_follow_path, reference_qp_control
+from oracles import (FrozenPlanReference, ReferenceQp, reference_follow_path,
+                     reference_qp_control, same_float)
 
 import kbfplan
 from kbfplan import sim
@@ -15,9 +18,9 @@ from kbfplan.core import (Bounds, Control, Obstacle, PlannerConfig, PlanResult, 
                           State, Waypoint, validate_scenario)
 from kbfplan.dynamics import tracking_error
 from kbfplan.planners import NoPath, plan_rrt_cbf_qp, plan_rrt_kbf
-from kbfplan.sim import (MAX_TICKS, ControllerInfeasible, FollowFailure, TimeBudgetExceeded,
-                         Trajectory, TrajectorySample, _PlanReference, follow_path,
-                         min_barrier, write_trajectory_csv)
+from kbfplan.sim import (DT_CTRL_DEFAULT, MAX_TICKS, ControllerInfeasible, FollowFailure,
+                         TimeBudgetExceeded, Trajectory, TrajectorySample, _PlanReference,
+                         follow_path, min_barrier, write_trajectory_csv)
 
 
 def straight_line_setup(v=0.9, length=3.0, dt=0.5):
@@ -91,6 +94,34 @@ def test_logged_v_is_the_controllers_v(name, seed):
     for smp in traj.samples:
         pos, vel, _ = ref.eval(smp.t)
         assert smp.V == clf_terms(tracking_error(smp.state, pos, vel), data)[0]
+
+
+COORD = st.floats(-3.0, 3.0)
+TINY = st.floats(-5e-10, 5e-10)  # a goal offset whose length stays below 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(legs=st.lists(st.tuples(st.floats(1e-3, 1.0), COORD, COORD), min_size=1, max_size=12),
+       offset=st.one_of(st.tuples(TINY, TINY), st.tuples(COORD, COORD)))
+def test_reference_matches_the_frozen_reference(legs, offset):
+    # waypoints at increasing times from 0, the goal a synthetic segment away
+    # or (offset below 1e-9) at the last waypoint, evaluated on the follower's
+    # ticks up to past the end: every float bit for bit, signed zeros included
+    t, waypoints = 0.0, []
+    for k, (step, x, y) in enumerate(legs):
+        control = Control(0.0, 0.0) if k < len(legs) - 1 else None  # None on the last
+        waypoints.append(Waypoint(t, State(x, y), control))
+        t += step
+    plan = PlanResult(tuple(waypoints), tuple((x, y, 0.0, 0.0) for _, x, y in legs),
+                      (-1, *range(len(legs) - 1)), len(legs))
+    goal = (legs[-1][1] + offset[0], legs[-1][2] + offset[1])
+    shipped, frozen = _PlanReference(plan, goal), FrozenPlanReference(plan, goal)
+    assert same_float(shipped.duration, frozen.duration)
+    k = 0
+    while k * DT_CTRL_DEFAULT <= frozen.duration + 0.1:
+        got, want = shipped.eval(k * DT_CTRL_DEFAULT), frozen.eval(k * DT_CTRL_DEFAULT)
+        assert all(same_float(a, b) for g, w in zip(got, want) for a, b in zip(g, w)), k
+        k += 1
 
 
 @pytest.mark.parametrize("dt_ctrl", [0.0, -0.02, math.nan, math.inf])
