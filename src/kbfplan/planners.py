@@ -9,7 +9,9 @@ to the tree's lists inline and never asks for a nearest node. Every planner
 is a deterministic function of (scenario, rng): a seeded generator reproduces
 the run bit for bit. The barrier-gated ones draw as scalar
 `rng.integers`/`uniform` calls would, final rng state included, from raw
-PCG64, PCG64DXSM, Philox or SFC64 words.
+PCG64, PCG64DXSM, Philox or SFC64 words: numpy decodes them in groups of five
+words that give two draws (block_draws), and the loop takes the parent index
+inline, leaving a block for an exact draw only where Lemire's method rejects.
 """
 
 from __future__ import annotations
@@ -188,9 +190,20 @@ def plan_rrt(s: Scenario, rng: np.random.Generator) -> PlanResult:
 
 
 def block_draws(rng, c_max: float, a_max: float):
-    """(draw, restore): draw(n), 1 <= n < 2**32, is `(rng.integers(0, n),
-    rng.uniform(-c_max, c_max), rng.uniform(0, a_max))` decoded as numpy does;
-    restore() leaves rng as those calls would."""
+    """(draws, restore) for a stream of `(rng.integers(0, n),
+    rng.uniform(-c_max, c_max), rng.uniform(0, a_max))` draws, 1 <= n < 2**32,
+    decoded from raw words as numpy does.
+
+    draws(count, n), after count draws were taken, returns lists (us, cs,
+    accels) of the next draws. The first is exact for n: Lemire's method on
+    32-bit halves, where u is the accepted half (0 when n == 1, which draws no
+    integer) and the integer is (u * n) >> 32. The rest assume n > 1 and no
+    rejection: five words give two draws, the low half of word 5k with words
+    5k+1 and 5k+2, then its high half with words 5k+3 and 5k+4. The caller
+    takes them in order and calls draws again where Lemire's method rejects
+    u, that is where (u * n) mod 2**32 < 2**32 mod n. restore(count) leaves rng
+    as count draws would, pending half and stale `uinteger` included.
+    """
     bg = getattr(rng, "bit_generator", None)
     if bg is not None and not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM,
                                               np.random.Philox, np.random.SFC64)):
@@ -198,59 +211,72 @@ def block_draws(rng, c_max: float, a_max: float):
     # perfbench's TimedRng proxy has no bit_generator: no pending half, no restore
     entry = bg.state if bg is not None else {"has_uint32": 0, "uinteger": 0}
     pending, half = bool(entry["has_uint32"]), entry["uinteger"]
-    # the current block's words, and each word's top 53 bits as a fraction
-    # mapped to each uniform's range
-    words, cs, accels = [], [], []
+    block = None
     pos = end = drawn = 0
+    start = skip = base = 0  # the last block's groups start at word start, skip draws in
+    halves = np.array([0, 32], dtype=np.uint64)
 
-    def fetch():  # blocks of 64, 64, 128, ... up to 4096 words, only when one is due
-        nonlocal pos, end, drawn
-        k = min(max(drawn, 64), 4096)
-        drawn += k
-        pos, end = 0, k
-        block = rng.integers(0, 2**64, size=k, dtype=np.uint64)
-        frac = (block >> np.uint64(11)) * 2.0 ** -53
-        words[:] = block.tolist()
-        # uniform(lo, hi) is lo + (hi - lo) * frac, in this order, as numpy computes it
-        cs[:] = (-c_max + (c_max - -c_max) * frac).tolist()
-        accels[:] = (0.0 + a_max * frac).tolist()
+    def word():  # fetches blocks of 64, 64, 128, ... up to 4096 words, only when one is due
+        nonlocal block, pos, end, drawn
+        if pos == end:
+            k = min(max(drawn, 64), 4096)
+            drawn += k
+            pos, end = 0, k
+            block = rng.integers(0, 2**64, size=k, dtype=np.uint64)
+        pos += 1
+        return int(block[pos - 1])
 
-    def draw(n):
+    # uniform(lo, hi) is lo + (hi - lo) * frac, in this order, as numpy computes
+    # it, from a word's top 53 bits as a fraction; w is a word or an array of them
+    def uniform_c(w):
+        return -c_max + (c_max - -c_max) * ((w >> 11) * 2.0 ** -53)
+
+    def uniform_a(w):
+        return 0.0 + a_max * ((w >> 11) * 2.0 ** -53)
+
+    def commit(count):  # the state after the block draws taken before count
         nonlocal pos, pending, half
-        # Lemire's method on 32-bit draws: the pending high half of the last
-        # word split, else a fresh low half; n == 1 draws nothing
+        k = count - base + skip  # group draws taken, from word start
+        if k > skip:
+            pos = start + 5 * (k // 2) + 3 * (k % 2)
+            pending = bool(k % 2)
+            half = int(block[start + 5 * ((k - 1) // 2)]) >> 32
+
+    def draws(count, n):
+        nonlocal pending, half, start, skip, base
+        commit(count)
         threshold = 0x100000000 % n  # numpy's (2**32 - n) % n
-        i = 0
-        while n > 1:
+        u = 0
+        while n > 1:  # the pending high half of the last word split, else a fresh low half
             if pending:
                 u, pending = half, False
             else:
-                if pos == end:
-                    fetch()
-                w = words[pos]
+                w = word()
                 u, half, pending = w & 0xFFFFFFFF, w >> 32, True
-                pos += 1
-            m = u * n
-            if m & 0xFFFFFFFF >= threshold:
-                i = m >> 32
+            if (u * n) & 0xFFFFFFFF >= threshold:
                 break
-        if pos == end:
-            fetch()
-        c = cs[pos]
-        pos += 1
-        if pos == end:
-            fetch()
-        a = accels[pos]
-        pos += 1
-        return i, c, a
+        us, cs, accels = [u], [uniform_c(word())], [uniform_a(word())]
+        # whole groups to the end of the fetched words. A pending half is the
+        # high half of the word three back, so its group starts there; after
+        # an n == 1 draw it may be older, and that draw is the whole block
+        base, skip = count + 1, int(pending)
+        start = pos - 3 * skip
+        groups = (end - start) // 5 if n > 1 and start >= 0 else 0
+        if groups:
+            five = block[start:start + 5 * groups].reshape(groups, 5)
+            us += ((five[:, :1] >> halves) & 0xFFFFFFFF).ravel()[skip:].tolist()
+            cs += uniform_c(five[:, 1::2]).ravel()[skip:].tolist()
+            accels += uniform_a(five[:, 2::2]).ravel()[skip:].tolist()
+        return us, cs, accels
 
-    def restore():  # pending and half are the bit generator's has_uint32, uinteger
+    def restore(count):  # pending and half are the bit generator's has_uint32, uinteger
+        commit(count)
         if bg is not None:
             bg.state = entry
             bg.random_raw(drawn - end + pos, output=False)
             bg.state = {**bg.state, "has_uint32": int(pending), "uinteger": half}
 
-    return draw, restore
+    return draws, restore
 
 
 def plan_rrt_kbf(s: Scenario, rng: np.random.Generator,
@@ -282,10 +308,13 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     of plan_rrt_kbf. The draws, and rng's
     state on return or NoPath, are those of `rng.integers(0, len(nodes))`,
     `rng.uniform(-c_max, c_max)` and `rng.uniform(0, a_max)` calls (block_draws;
-    PCG64, PCG64DXSM, Philox or SFC64 bit generators, else TypeError).
+    PCG64, PCG64DXSM, Philox or SFC64 bit generators, else TypeError). The loop
+    walks each decoded block and takes the parent as (u * n) >> 32; where
+    Lemire's method rejects u it leaves the block, and the next block starts
+    with that draw taken exactly.
     """
     c_max, a_max = s.robot.c_max, s.robot.a_max
-    draw, restore = block_draws(rng, c_max, a_max)
+    draws, restore = block_draws(rng, c_max, a_max)
     tree = Tree(s.start)
     dt = s.planner.dt
     if _goal_reached(s.start.x, s.start.y, s):
@@ -304,34 +333,47 @@ def plan_robust_rrt_kbf(s: Scenario, bounds: UncertaintyBounds,
     d1 = bounds.delta1_max
     d2 = bounds.delta2_max
     node_rows = [None]  # per node: gate_rows over the control box, on its first draw
+    max_iters = s.planner.max_iters
+    n = 1
+    threshold = 0  # Lemire's method rejects u when (u * n) mod 2**32 < 2**32 mod n
+    it = 0
 
     try:
-        for it in range(1, s.planner.max_iters + 1):
-            i, c, a = draw(len(nodes))
-            x, y, theta, v = nodes[i]
-            rows = node_rows[i]
-            if rows is None:
-                rows = node_rows[i] = gate_rows(x, y, theta, v, obs, g1, g2, d1, d2, c_max, a_max)
-            ok = not rows or gate_check(theta, v, rows, c, a, d2) >= 0.0
-            if trace is not None:
-                trace.append((i, c, a, ok))
-            if not ok:
-                continue
+        while it < max_iters:
+            us, cs, accels = draws(it, n)
+            for it, u, c, a in zip(range(it + 1, max_iters + 1), us, cs, accels):
+                m = u * n
+                if m & 0xFFFFFFFF < threshold:  # rejected: the next block takes it exactly
+                    it -= 1
+                    break
+                i = m >> 32
+                x, y, theta, v = nodes[i]
+                rows = node_rows[i]
+                if rows is None:
+                    rows = node_rows[i] = gate_rows(x, y, theta, v, obs, g1, g2, d1, d2,
+                                                    c_max, a_max)
+                ok = not rows or gate_check(theta, v, rows, c, a, d2) >= 0.0
+                if trace is not None:
+                    trace.append((i, c, a, ok))
+                if not ok:
+                    continue
 
-            nx, ny, nth, nv = rk4_step(x, y, theta, v, c, a, dt, v_max)
-            if not (xmin <= nx <= xmax and ymin <= ny <= ymax):
-                continue
-            nodes.append((nx, ny, wrap_angle(nth), nv))
-            parents.append(i)
-            controls.append((c, a))
-            node_rows.append(None)
-            ddx = nx - gx
-            ddy = ny - gy
-            if ddx * ddx + ddy * ddy <= tol2:
-                return _plan(tree, len(nodes) - 1, it, dt)
-        raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
+                nx, ny, nth, nv = rk4_step(x, y, theta, v, c, a, dt, v_max)
+                if not (xmin <= nx <= xmax and ymin <= ny <= ymax):
+                    continue
+                nodes.append((nx, ny, wrap_angle(nth), nv))
+                parents.append(i)
+                controls.append((c, a))
+                node_rows.append(None)
+                n += 1
+                threshold = 0x100000000 % n
+                ddx = nx - gx
+                ddy = ny - gy
+                if ddx * ddx + ddy * ddy <= tol2:
+                    return _plan(tree, n - 1, it, dt)
+        raise NoPath(f"no path after {max_iters} iterations", max_iters)
     finally:
-        restore()
+        restore(it)
 
 
 K_SIM = 10               # rrt-cbf-qp steering horizon, control periods

@@ -343,6 +343,83 @@ def reference_plan_kbf(s, rng, bounds=None, trace=None):
     raise NoPath(f"no path after {s.planner.max_iters} iterations", s.planner.max_iters)
 
 
+def frozen_block_draws(rng, c_max, a_max):
+    """(draw, restore): draw(n), 1 <= n < 2**32, is `(rng.integers(0, n),
+    rng.uniform(-c_max, c_max), rng.uniform(0, a_max))` decoded as numpy does;
+    restore() leaves rng as those calls would. Frozen from when the
+    barrier-gated planners called it once per iteration, before they took
+    their draws from decoded blocks."""
+    bg = getattr(rng, "bit_generator", None)
+    entry = bg.state if bg is not None else {"has_uint32": 0, "uinteger": 0}
+    pending, half = bool(entry["has_uint32"]), entry["uinteger"]
+    words, cs, accels = [], [], []
+    pos = end = drawn = 0
+
+    def fetch():  # blocks of 64, 64, 128, ... up to 4096 words, only when one is due
+        nonlocal pos, end, drawn
+        k = min(max(drawn, 64), 4096)
+        drawn += k
+        pos, end = 0, k
+        block = rng.integers(0, 2**64, size=k, dtype=np.uint64)
+        frac = (block >> np.uint64(11)) * 2.0 ** -53
+        words[:] = block.tolist()
+        cs[:] = (-c_max + (c_max - -c_max) * frac).tolist()
+        accels[:] = (0.0 + a_max * frac).tolist()
+
+    def draw(n):
+        nonlocal pos, pending, half
+        threshold = 0x100000000 % n
+        i = 0
+        while n > 1:
+            if pending:
+                u, pending = half, False
+            else:
+                if pos == end:
+                    fetch()
+                w = words[pos]
+                u, half, pending = w & 0xFFFFFFFF, w >> 32, True
+                pos += 1
+            m = u * n
+            if m & 0xFFFFFFFF >= threshold:
+                i = m >> 32
+                break
+        if pos == end:
+            fetch()
+        c = cs[pos]
+        pos += 1
+        if pos == end:
+            fetch()
+        a = accels[pos]
+        pos += 1
+        return i, c, a
+
+    def restore():
+        if bg is not None:
+            bg.state = entry
+            bg.random_raw(drawn - end + pos, output=False)
+            bg.state = {**bg.state, "has_uint32": int(pending), "uinteger": half}
+
+    return draw, restore
+
+
+class FrozenDrawRng:
+    """The `integers(0, n)` and two `uniform` calls of each reference_plan_kbf
+    iteration, served by frozen_block_draws on rng; restore() as there."""
+
+    def __init__(self, rng, c_max, a_max):
+        self._draw, self.restore = frozen_block_draws(rng, c_max, a_max)
+        self._uniforms = []
+
+    def integers(self, low, high):
+        assert low == 0
+        i, c, a = self._draw(high)
+        self._uniforms = [a, c]
+        return i
+
+    def uniform(self, low, high):
+        return self._uniforms.pop()
+
+
 # ---------------------------------------------------------------------------
 # Nearest-neighbour planners (rrt, rrt-cbf-qp), frozen from when they grew a
 # tree of State objects: uniform point sample, nearest node by a numpy scan,

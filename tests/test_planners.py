@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_plan_kbf, reference_plan_rrt, reference_plan_rrt_cbf_qp
+from oracles import (FrozenDrawRng, frozen_block_draws, reference_plan_kbf, reference_plan_rrt,
+                     reference_plan_rrt_cbf_qp)
 
 from kbfplan import planners, sim
 from kbfplan.cli import load_bundled_scenario
@@ -334,6 +335,27 @@ def same_state(a, b):
     return a == b
 
 
+def walk(rng, c_max, a_max, ns):
+    """The draws for ns from block_draws, taken as plan_robust_rrt_kbf takes
+    them: each block's first draw is exact, and a later one leaves the block
+    where Lemire's method rejects its u, or where n is 1 (no integer; the
+    planner's tree has one node only before any block draw). restore() runs
+    after the last draw."""
+    draws, restore = block_draws(rng, c_max, a_max)
+    out = []
+    while len(out) < len(ns):
+        us, cs, accels = draws(len(out), ns[len(out)])
+        for k, (n, u, c, a) in enumerate(zip(ns[len(out):], us, cs, accels)):
+            m = u * n
+            rejected = m & 0xFFFFFFFF < 0x100000000 % n
+            assert not (k == 0 and rejected)
+            if k and (n == 1 or rejected):
+                break
+            out.append((m >> 32, c, a))
+    restore(len(out))
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(bit_generator=st.sampled_from(BIT_GENERATORS), seed=st.integers(0, 2**32 - 1),
        pre=st.integers(0, 3), c_max=st.floats(1e-3, 10.0), a_max=st.floats(1e-3, 10.0),
@@ -347,18 +369,20 @@ def same_state(a, b):
          ns=[1, 1, 1, 1, 3, 1, 1, 2**31 + 5, 2**31 + 5, 1])
 def test_block_draws_match_scalar_generator_calls(bit_generator, seed, pre, c_max, a_max, ns):
     # an odd number of integers(0, 7) calls leaves a pending 32-bit half
-    scalar = np.random.Generator(bit_generator(seed))
-    blocked = np.random.Generator(bit_generator(seed))
-    for g in (scalar, blocked):
+    scalar, blocked, frozen = (np.random.Generator(bit_generator(seed)) for _ in range(3))
+    for g in (scalar, blocked, frozen):
         for _ in range(pre):
             g.integers(0, 7)
-    draw, restore = block_draws(blocked, c_max, a_max)
-    for n in ns:
-        assert draw(n) == (scalar.integers(0, n), scalar.uniform(-c_max, c_max),
-                           scalar.uniform(0, a_max))
+    expected = [(scalar.integers(0, n), scalar.uniform(-c_max, c_max), scalar.uniform(0, a_max))
+                for n in ns]
+    assert walk(blocked, c_max, a_max, ns) == expected
+    draw, restore = frozen_block_draws(frozen, c_max, a_max)
+    assert [draw(n) for n in ns] == expected
     restore()
-    assert same_state(blocked.bit_generator.state, scalar.bit_generator.state)
-    assert blocked.integers(0, 2**40) == scalar.integers(0, 2**40)
+    state, next_word = scalar.bit_generator.state, scalar.integers(0, 2**40)
+    for g in (blocked, frozen):
+        assert same_state(g.bit_generator.state, state)
+        assert g.integers(0, 2**40) == next_word
 
 
 class FixedWords:
@@ -372,17 +396,120 @@ class FixedWords:
         return np.array(block + [0] * (size - len(block)), dtype=dtype)
 
 
+class PatchedWords:
+    """A generator proxy whose raw words are a PCG64's, some replaced by
+    patches (word index -> word). Its bit_generator is that PCG64, so after
+    restore its state counts the words used and holds the pending half."""
+
+    def __init__(self, seed, patches, pre=0):
+        self.bit_generator = np.random.PCG64(seed)
+        for _ in range(pre):  # an odd count leaves a pending 32-bit half
+            np.random.Generator(self.bit_generator).integers(0, 7)
+        self.patches = patches
+        self.fetched = 0
+
+    def integers(self, low, high, size, dtype):
+        block = self.bit_generator.random_raw(size)
+        for k, w in self.patches.items():
+            if self.fetched <= k < self.fetched + size:
+                block[k - self.fetched] = w
+        self.fetched += size
+        return block
+
+
 def test_block_draws_accept_a_low_half_equal_to_the_threshold():
     # n = 3: numpy rejects while (u * 3) mod 2**32 < 2**32 mod 3 = 1. The first
     # word's low half 0 is rejected; its high half 0xAAAAAAAB gives exactly 1,
     # which numpy accepts, and 0xAAAAAAAB * 3 >> 32 = 2. Each uniform takes a
-    # whole word: 0 maps to the low end, 2**63 to the middle
-    draw, restore = block_draws(
-        FixedWords([0xAAAAAAAB << 32, 0, 1 << 63, 5 << 32 | 7, 1 << 63]), 1.0, 2.0)
-    assert draw(3) == (2, -1.0, 1.0)
-    assert draw(2**32 - 1) == (6, 0.0, 0.0)   # the next word's low half: 7 * (2**32 - 1) >> 32
-    assert draw(2**32 - 1) == (4, -1.0, 0.0)  # then its pending high half
+    # whole word: 0 maps to the low end, 2**63 to the middle. The first draw is
+    # a block's exact one; word 3 starts its five-word groups, and word 8's
+    # halves give the threshold again, to draws taken inline
+    third = 0xAAAAAAAB
+    words = [third << 32, 0, 1 << 63, 5 << 32 | 7, 1 << 63, 0, 0, 0,
+             third << 32 | third, 1 << 63, 0, 1 << 63, 1 << 63]
+    assert walk(FixedWords(words), 1.0, 2.0, [3, 2**32 - 1, 2**32 - 1, 3, 3]) == [
+        (2, -1.0, 1.0),
+        (6, 0.0, 0.0),    # word 3's low half: 7 * (2**32 - 1) >> 32
+        (4, -1.0, 0.0),   # then its high half, with words 6 and 7
+        (2, 0.0, 0.0),    # word 8's low half, with words 9 and 10
+        (2, 0.0, 1.0),    # then its high half, with words 11 and 12
+    ]
+
+
+@pytest.mark.parametrize("pre, patches", [
+    # No pending half at entry: the first draw splits word 0, so the groups
+    # start at words 0, 5, 10, ... Word 10 is 0, so the first draw of its group
+    # is rejected, and the exact draw rejects its high half too and takes word
+    # 11. The groups then start at 11, 16, 21, ...: word 21's high half is 0,
+    # so the second draw of its group is rejected, and the exact draw takes
+    # word 24. Those groups end with word 63, the last of the first 64-word
+    # fetch; word 59's high half is 0, so the block's last draw is rejected,
+    # and the exact draw takes words 62 and 63 and then the next fetch's first.
+    (0, {10: 0, 21: 0x80000000, 59: 0x80000000}),
+    # A pending half at entry: the first draw takes it with words 0 and 1, so
+    # the groups start at 2, 7, 12, ... As above, the first draw of word 12's
+    # group and the second of word 23's are rejected. The groups from word 26
+    # end at word 60, and the exact draw after them rejects both halves of
+    # words 61-64, reading across the fetch, and takes word 65.
+    (1, {12: 0, 23: 0x80000000, 61: 0, 62: 0, 63: 0, 64: 0}),
+], ids=["fresh-word", "pending-half"])
+def test_block_draws_take_rejections_in_and_between_blocks_exactly(pre, patches):
+    ns = [3] * 60  # 2**32 mod 3 = 1: a zero half is rejected, 0x80000000 accepted
+    frozen_rng = PatchedWords(5, patches, pre)
+    draw, restore = frozen_block_draws(frozen_rng, 1.0, 2.0)
+    expected = [draw(n) for n in ns]
     restore()
+    rng = PatchedWords(5, patches, pre)
+    draws = walk(rng, 1.0, 2.0, ns)
+    assert draws == expected
+    assert same_state(rng.bit_generator.state, frozen_rng.bit_generator.state)
+    # every patched word's top 32 bits are 0, so had one been read as a
+    # uniform, it would sit within 2**-31 of the low end of its range
+    assert all(c > -1.0 + 1e-6 and a > 1e-6 for _, c, a in draws)
+
+
+def test_kbf_planner_takes_exact_draws_mid_plan():
+    # From rest at x = 0.05 facing the wall at x = 0, an edge stays in the
+    # workspace only for a < 0.4, and a = 0 leaves the node where it is. With
+    # no pending half, iteration k <= 5 (n == 1, no integer) reads c and a from
+    # words 2k - 2 and 2k - 1; words 1, 3, 5 and 7 give a near a_max, so the
+    # first four iterations append nothing, and word 9 appends the second
+    # node. Iteration 6 splits word 10 and appends (word 12). Iteration 7, at
+    # n = 3, rejects word 10's high half, so its exact draw splits word 13
+    # and appends at a = 0 (word 15). Iteration 8 takes word 13's high half
+    # and appends (word 17), and iteration 9, at n = 5, rejects word 18's low
+    # half and takes its high half 0xFFFFFFFF: parent 4.
+    s = validate_scenario(Scenario(
+        start=State(0.05, 2.5, math.pi, 0.0), goal=State(1.2, 2.5, 0.0, 0.0),
+        obstacles=(), bounds=Bounds(0.0, 5.0, 0.0, 5.0),
+        planner=PlannerConfig(dt=0.5, goal_tolerance=0.6, max_iters=300)))
+    top = 2**64 - 1
+    patches = {1: top, 3: top, 5: top, 7: top, 9: 0, 10: 0x12345678, 12: 0, 15: 0,
+               17: 0, 18: 0xFFFFFFFF << 32}
+    for bounds in (UncertaintyBounds(), UncertaintyBounds(0.3, 0.3)):
+        runs = []
+        for shipped in (True, False):
+            rng = PatchedWords(11, patches)
+            trace = []
+            try:
+                if shipped:
+                    out = plan_robust_rrt_kbf(s, bounds, rng, trace)
+                else:
+                    frozen = FrozenDrawRng(rng, s.robot.c_max, s.robot.a_max)
+                    try:
+                        out = reference_plan_kbf(s, frozen, bounds, trace)
+                    finally:
+                        frozen.restore()
+            except NoPath as exc:
+                out = exc.iterations
+            runs.append((out, trace, rng.bit_generator.state))
+        (a, trace_a, rng_a), (b, trace_b, rng_b) = runs
+        assert a == b if isinstance(a, int) or isinstance(b, int) else same_plan(a, b)
+        assert trace_a == trace_b
+        assert same_state(rng_a, rng_b)
+        assert [a > 0.4 for _, _, a, _ in trace_a[:4]] == [True] * 4
+        assert [t[2] for t in trace_a[4:8]] == [0.0] * 4  # words 9, 12, 15 and 17
+        assert trace_a[8][0] == 4
 
 
 def pending_half_rng(seed):
