@@ -9,9 +9,9 @@ to the tree's lists inline and never asks for a nearest node. Every planner
 is a deterministic function of (scenario, rng): a seeded generator reproduces
 the run bit for bit. The barrier-gated ones draw as scalar
 `rng.integers`/`uniform` calls would, final rng state included, from raw
-PCG64, PCG64DXSM, Philox or SFC64 words: numpy decodes them in groups of five
-words that give two draws (block_draws), and the loop takes the parent index
-inline, leaving a block for an exact draw only where Lemire's method rejects.
+PCG64, PCG64DXSM, Philox or SFC64 words: numpy decodes five-word groups that
+give two draws each, from an aligned word (block_draws), and the loop takes the
+parent index inline, leaving a block for an exact draw where Lemire's method rejects.
 """
 
 from __future__ import annotations
@@ -197,12 +197,13 @@ def block_draws(rng, c_max: float, a_max: float):
     draws(count, n), after count draws were taken, returns lists (us, cs,
     accels) of the next draws. The first is exact for n: Lemire's method on
     32-bit halves, where u is the accepted half (0 when n == 1, which draws no
-    integer) and the integer is (u * n) >> 32. The rest assume n > 1 and no
-    rejection: five words give two draws, the low half of word 5k with words
-    5k+1 and 5k+2, then its high half with words 5k+3 and 5k+4. The caller
-    takes them in order and calls draws again where Lemire's method rejects
-    u, that is where (u * n) mod 2**32 < 2**32 mod n. restore(count) leaves rng
-    as count draws would, pending half and stale `uinteger` included.
+    integer) and the integer is (u * n) >> 32. The rest come only when n > 1
+    and the first draw leaves no half pending, and assume no rejection: from
+    that aligned word on, five words give two draws, the low half of word 5k
+    with words 5k+1 and 5k+2, then its high half with words 5k+3 and 5k+4. The
+    caller takes them in order and calls draws again after them or where
+    Lemire's method rejects u: (u * n) mod 2**32 < 2**32 mod n. restore(count)
+    leaves rng as count draws would, pending half and stale `uinteger` included.
     """
     bg = getattr(rng, "bit_generator", None)
     if bg is not None and not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM,
@@ -213,7 +214,7 @@ def block_draws(rng, c_max: float, a_max: float):
     pending, half = bool(entry["has_uint32"]), entry["uinteger"]
     block = None
     pos = end = drawn = 0
-    start = skip = base = 0  # the last block's groups start at word start, skip draws in
+    start = base = 0  # the last block's groups start at word start, at draw base
     halves = np.array([0, 32], dtype=np.uint64)
 
     def word():  # fetches blocks of 64, 64, 128, ... up to 4096 words, only when one is due
@@ -226,24 +227,21 @@ def block_draws(rng, c_max: float, a_max: float):
         pos += 1
         return int(block[pos - 1])
 
-    # uniform(lo, hi) is lo + (hi - lo) * frac, in this order, as numpy computes
-    # it, from a word's top 53 bits as a fraction; w is a word or an array of them
-    def uniform_c(w):
-        return -c_max + (c_max - -c_max) * ((w >> 11) * 2.0 ** -53)
-
-    def uniform_a(w):
-        return 0.0 + a_max * ((w >> 11) * 2.0 ** -53)
+    # lo + (hi - lo) * frac, in this order, as numpy computes it, from a word's
+    # top 53 bits as a fraction; w is a word or an array of them
+    def uniform(lo, hi, w):
+        return lo + (hi - lo) * ((w >> 11) * 2.0 ** -53)
 
     def commit(count):  # the state after the block draws taken before count
         nonlocal pos, pending, half
-        k = count - base + skip  # group draws taken, from word start
-        if k > skip:
+        k = count - base  # group draws taken
+        if k > 0:
             pos = start + 5 * (k // 2) + 3 * (k % 2)
             pending = bool(k % 2)
             half = int(block[start + 5 * ((k - 1) // 2)]) >> 32
 
     def draws(count, n):
-        nonlocal pending, half, start, skip, base
+        nonlocal pending, half, start, base
         commit(count)
         threshold = 0x100000000 % n  # numpy's (2**32 - n) % n
         u = 0
@@ -255,18 +253,15 @@ def block_draws(rng, c_max: float, a_max: float):
                 u, half, pending = w & 0xFFFFFFFF, w >> 32, True
             if (u * n) & 0xFFFFFFFF >= threshold:
                 break
-        us, cs, accels = [u], [uniform_c(word())], [uniform_a(word())]
-        # whole groups to the end of the fetched words. A pending half is the
-        # high half of the word three back, so its group starts there; after
-        # an n == 1 draw it may be older, and that draw is the whole block
-        base, skip = count + 1, int(pending)
-        start = pos - 3 * skip
-        groups = (end - start) // 5 if n > 1 and start >= 0 else 0
+        us, cs, accels = [u], [uniform(-c_max, c_max, word())], [uniform(0.0, a_max, word())]
+        # whole groups to the end of the fetched words, only from an aligned word
+        base, start = count + 1, pos
+        groups = (end - pos) // 5 if n > 1 and not pending else 0
         if groups:
-            five = block[start:start + 5 * groups].reshape(groups, 5)
-            us += ((five[:, :1] >> halves) & 0xFFFFFFFF).ravel()[skip:].tolist()
-            cs += uniform_c(five[:, 1::2]).ravel()[skip:].tolist()
-            accels += uniform_a(five[:, 2::2]).ravel()[skip:].tolist()
+            five = block[pos:pos + 5 * groups].reshape(groups, 5)
+            us += ((five[:, :1] >> halves) & 0xFFFFFFFF).ravel().tolist()
+            cs += uniform(-c_max, c_max, five[:, 1::2]).ravel().tolist()
+            accels += uniform(0.0, a_max, five[:, 2::2]).ravel().tolist()
         return us, cs, accels
 
     def restore(count):  # pending and half are the bit generator's has_uint32, uinteger

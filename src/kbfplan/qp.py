@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,38 +28,32 @@ class QpStatus(enum.Enum):
     ITER_LIMIT = "iter_limit"
 
 
-@dataclass(frozen=True)
 class QpProblem:
     """min 0.5 x'Hx + f'x  subject to  A_ineq x <= b_ineq, with H positive definite.
 
-    Validated, and H_inv formed, once: f, A_ineq and b_ineq, not H, may change in place."""
+    A plain object: validated, and H_inv formed, once in __init__. The caller
+    may then rewrite f, A_ineq and b_ineq, not H, in place between solves."""
 
-    H: np.ndarray
-    f: np.ndarray
-    A_ineq: np.ndarray
-    b_ineq: np.ndarray
-    H_inv: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        f = np.asarray(self.f, dtype=float).ravel()
+    def __init__(self, H, f, A_ineq, b_ineq) -> None:
+        f = np.asarray(f, dtype=float).ravel()
         n = f.shape[0]
-        H = np.asarray(self.H, dtype=float).reshape(n, n)
-        h = H.tolist()  # scalar loop: np.allclose costs more than the solve here
+        H = np.asarray(H, dtype=float).reshape(n, n)
+        h = H.tolist()  # not np.allclose, which takes equal infs as close: inf - inf is NaN
         if not all(abs(h[i][j] - h[j][i]) <= 1e-12 for i in range(n) for j in range(i, n)):
-            raise ValueError("H must be symmetric")  # or holds a NaN, diagonal included
+            raise ValueError("H must be symmetric")  # or holds a NaN or inf, diagonal included
         try:
             np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
             raise ValueError("H must be positive definite") from None
-        A = np.asarray(self.A_ineq, dtype=float).reshape(-1, n)
-        b = np.asarray(self.b_ineq, dtype=float).ravel()
+        A = np.asarray(A_ineq, dtype=float).reshape(-1, n)
+        b = np.asarray(b_ineq, dtype=float).ravel()
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A_ineq has {A.shape[0]} rows but b_ineq has {b.shape[0]}")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "H_inv", np.linalg.inv(H))
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "A_ineq", A)
-        object.__setattr__(self, "b_ineq", b)
+        self.H = H
+        self.H_inv = np.linalg.inv(H)
+        self.f = f
+        self.A_ineq = A
+        self.b_ineq = b
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from kbfplan import cli
-from kbfplan.cli import (BENCH_CSV_HEADER, bundled_scenario_names, emit_svg,
-                         format_bench_table, inject_perception_error,
+from kbfplan.cli import (BENCH_CSV_HEADER, BenchReport, BenchRow, bundled_scenario_names,
+                         emit_svg, format_bench_table, inject_perception_error,
                          load_bundled_scenario, load_scenario, main, run_bench,
                          write_bench_csv)
 from kbfplan.core import (Control, ParseError, Scenario, State, UncertaintyBounds,
                           validate_scenario)
-from kbfplan.planners import NoPath, plan, plan_rrt
+from kbfplan.planners import CBF_QP_BASELINE_NOTE, NoPath, plan, plan_rrt
 from kbfplan.sim import (BUDGET_MARGIN, MAX_TICKS, ControllerInfeasible, TimeBudgetExceeded,
                          Trajectory, TrajectorySample, follow_path)
 
@@ -150,6 +150,16 @@ def test_bench_csv_roundtrip(tmp_path):
     assert "rrt" in format_bench_table(report)
 
 
+def test_bench_table_notes_the_cbf_qp_baseline_only_when_it_ran():
+    row = BenchRow("rrt", "scenario1", 1, 1, 0.1, 0.1, 0.0, 4.0, 0.2)
+    for planners, noted in ((["rrt"], False), (["rrt", "rrt-cbf-qp"], True),
+                            (["rrt-kbf", "robust-rrt-kbf"], False)):
+        report = BenchReport(tuple(dataclasses.replace(row, planner=p) for p in planners), "fp")
+        lines = format_bench_table(report).splitlines()
+        assert (lines[-1] == CBF_QP_BASELINE_NOTE) is noted
+        assert lines.count(CBF_QP_BASELINE_NOTE) == noted
+
+
 def test_bench_robust_bounds_forwarded():
     scenarios = [("scenario1", load_bundled_scenario("scenario1"))]
     r0 = run_bench(scenarios, ["robust-rrt-kbf"], runs=2, seed_base=0)
@@ -243,6 +253,17 @@ def test_main_simulate(tmp_path):
     assert out.read_text().startswith("t,x,y,theta,v,c,a,minB,V,d")
 
 
+def test_main_simulate_svg(tmp_path):
+    # one polyline point per trajectory sample, two circles per obstacle
+    out, svg = tmp_path / "traj.csv", tmp_path / "traj.svg"
+    assert main(["simulate", "--scenario", "scenario1", "--seed", "1",
+                 "--out", str(out), "--svg", str(svg)]) == 0
+    samples = len(out.read_text().splitlines()) - 1
+    polyline, = (el for el in ET.parse(svg).iter() if el.tag.endswith("polyline"))
+    assert samples > 1 and len(polyline.get("points").split()) == samples
+    assert circle_count(svg) == 2 * len(load_bundled_scenario("scenario1").obstacles)
+
+
 def test_main_simulate_fails_closed_on_barrier_violation(tmp_path, capsys):
     # this seed's follower cuts into obstacle 4 of scenario4
     out = tmp_path / "traj.csv"
@@ -319,6 +340,16 @@ def test_main_inject(tmp_path):
     s1 = load_scenario(out)
     for o0, o1 in zip(s0.obstacles, s1.obstacles):
         assert math.hypot(o1.x - o0.x, o1.y - o0.y) == pytest.approx(0.5)
+
+
+def test_main_inject_writes_an_invalid_perturbation_with_a_warning(tmp_path, capsys):
+    # radii grown by up to 2 m: this seed's obstacles[1] covers the start
+    out = tmp_path / "perturbed.json"
+    assert main(["inject", "--scenario", "scenario1", "--seed", "1", "--pos-err", "0",
+                 "--radius-err", "2", "--out", str(out)]) == 0
+    assert "perturbed scenario is invalid" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="StartInCollision"):
+        load_scenario(out)
 
 
 def test_main_exit_code_input_error(tmp_path):

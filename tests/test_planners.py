@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 
@@ -112,6 +113,25 @@ def test_rrt_wall_no_path():
     with pytest.raises(NoPath) as exc:
         plan_rrt(s, np.random.default_rng(1))
     assert exc.value.iterations == 1500
+
+
+class SamplesAt:
+    """A generator proxy whose uniform draws give one point, x then y, again and again."""
+
+    def __init__(self, x, y):
+        self.draws = itertools.cycle((x, y))
+
+    def uniform(self, lo, hi):
+        return next(self.draws)
+
+
+@pytest.mark.parametrize("planner", [plan_rrt, plan_rrt_cbf_qp])
+def test_nearest_planners_discard_a_sample_on_a_node(planner):
+    # every sample is the root itself, so steer has no direction to extend in
+    s = open_scenario(max_iters=20)
+    with pytest.raises(NoPath) as exc:
+        planner(s, SamplesAt(s.start.x, s.start.y))
+    assert exc.value.iterations == 20
 
 
 def test_rrt_deterministic():
@@ -613,6 +633,21 @@ def test_cbf_qp_deterministic():
     s = open_scenario(goal=(3.0, 0.5), obstacles=[Obstacle(2.0, 0.8, 0.4)])
     assert_same_value(plan_rrt_cbf_qp(s, np.random.default_rng(4)),
                       plan_rrt_cbf_qp(s, np.random.default_rng(4)))
+
+
+def test_cbf_qp_discards_an_extension_whose_tick_is_infeasible(monkeypatch):
+    calls = []
+
+    def infeasible(*args):
+        calls.append(args)
+        raise planners.InfeasibleSafety("no pseudo-control")
+
+    monkeypatch.setattr(sim, "clf_cbf_qp_control", infeasible)
+    s = open_scenario(max_iters=20)
+    with pytest.raises(NoPath) as exc:
+        plan_rrt_cbf_qp(s, np.random.default_rng(0))
+    assert exc.value.iterations == 20
+    assert len(calls) == 20  # each extension ends at its first tick
 
 
 def test_cbf_qp_extension_cost_dominates_kbf():

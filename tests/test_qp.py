@@ -143,9 +143,12 @@ def test_problem_shape_validation():
         QpProblem([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0], np.zeros((0, 2)), [])
     with pytest.raises(ValueError):
         QpProblem(np.eye(2), [0.0, 0.0], [[1.0, 0.0]], [1.0, 2.0])
-    # asymmetry up to 1e-12 passes; a NaN fails, on the diagonal or off it
+    # asymmetry up to 1e-12 passes; a NaN or an inf fails, on the diagonal or
+    # off it (np.allclose takes equal infs as close, and np.linalg.cholesky
+    # accepts an inf on the diagonal)
     QpProblem([[1.0, 1e-12], [0.0, 1.0]], [0.0, 0.0], np.zeros((0, 2)), [])
-    for H in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+    for H in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
+              [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]):
         with pytest.raises(ValueError, match="symmetric"):
             QpProblem(H, [0.0, 0.0], np.zeros((0, 2)), [])
 
