@@ -8,10 +8,10 @@ from .core import (Bounds, CbfParams, ClfParams, Control, Obstacle, ParseError,
                    ScenarioValidationError, State, UncertaintyBounds, Violation,
                    Waypoint, combined_radius, scenario_from_dict,
                    scenario_to_dict, validate_scenario, wrap_angle)
-from .dynamics import integrate_step, io_linearize, pd_control, tracking_error
+from .dynamics import integrate_step, io_linearize, tracking_error
 from .qp import ActiveSetQp, QpProblem, QpSolution, QpStatus
-from .control import (ClfData, InfeasibleSafety, NotHurwitz, clf_cbf_qp_control,
-                      clf_terms, safety_qp, solve_lyapunov)
+from .control import (InfeasibleSafety, NotHurwitz, clf_cbf_qp_control, clf_terms,
+                      pd_control, safety_qp, solve_lyapunov)
 from .safety import barrier_value, kbf_check, robust_worst_value
 from .planners import (NoPath, PLANNER_NAMES, Tree, plan, plan_robust_rrt_kbf,
                        plan_rrt, plan_rrt_cbf_qp, plan_rrt_kbf,

@@ -15,7 +15,6 @@ import platform
 import statistics
 import sys
 import time
-import warnings
 from dataclasses import astuple, dataclass, fields, replace
 from importlib import resources
 
@@ -72,9 +71,9 @@ def inject_perception_error(s: Scenario, pos_err: float, radius_err: float,
 
     Every center moves exactly pos_err meters in a uniformly random
     direction; every radius shifts by a uniform draw in [-radius_err,
-    radius_err], clamped to stay positive (with a warning). The caller keeps
-    the original scenario as ground truth. Raises ValueError unless both
-    magnitudes are finite and >= 0.
+    radius_err], clamped to stay positive (with a warning line on stderr). The
+    caller keeps the original scenario as ground truth. Raises ValueError
+    unless both magnitudes are finite and >= 0.
     """
     if not (0.0 <= pos_err < math.inf and 0.0 <= radius_err < math.inf):
         raise ValueError("perception error magnitudes must be finite and >= 0")
@@ -84,8 +83,8 @@ def inject_perception_error(s: Scenario, pos_err: float, radius_err: float,
         dr = rng.uniform(-radius_err, radius_err)
         r = o.r + dr
         if r <= 0.0:
-            warnings.warn(f"perturbed radius of obstacle at ({o.x}, {o.y}) clamped "
-                          f"from {r:.3f} to 0.01")
+            print(f"warning: perturbed radius of obstacle at ({o.x}, {o.y}) clamped "
+                  f"from {r:.3f} to 0.01", file=sys.stderr)
             r = 0.01
         perturbed.append(Obstacle(o.x + pos_err * math.cos(phi),
                                   o.y + pos_err * math.sin(phi), r))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .core import ClfParams, Control, RobotParams, State
+from .core import Control, RobotParams, State
 
 V_EPS = 0.05  # m/s, regularization floor when inverting the decoupling matrix
 
@@ -92,12 +92,3 @@ def io_linearize(z: State, mu: tuple[float, float], p: RobotParams) -> Control:
     amax = p.a_max
     return Control(cmax if c > cmax else -cmax if c < -cmax else c,
                    amax if a > amax else -amax if a < -amax else a)
-
-
-def pd_control(e: tuple, clf: ClfParams) -> tuple[float, float]:
-    """Error-system PD law mu_pd = [-K_P -K_D] e at the tracking error 4-tuple e."""
-    (p00, p01), (p10, p11) = clf.K_P
-    (d00, d01), (d10, d11) = clf.K_D
-    e0, e1, e2, e3 = e
-    return (-(p00 * e0 + p01 * e1) - (d00 * e2 + d01 * e3),
-            -(p10 * e0 + p11 * e1) - (d10 * e2 + d11 * e3))

@@ -89,14 +89,12 @@ class ActiveSetQp:
         neg_f = -prob.f
         m = A.shape[0]
 
-        if m and self._warm and all(i < m for i in self._warm):
+        if self._warm and all(i < m for i in self._warm):
             warm = self._solve_working_set(H, neg_f, A, b, self._warm)
             if warm is not None:
                 return warm
 
         x = H_inv @ neg_f
-        if m == 0:
-            return self._optimal(x, [], [], 0)
 
         W: list[int] = []
         lam: list[float] = []

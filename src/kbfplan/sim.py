@@ -68,9 +68,9 @@ class ClosedLoop:
     def __init__(self, s: Scenario, dt: float, perceived_obstacles=None):
         obs = gate_obstacles(s.obstacles if perceived_obstacles is None
                              else perceived_obstacles, s.robot)
-        self.data = solve_lyapunov(s.clf)
+        self.P = solve_lyapunov(s.clf)
         # clf_cbf_qp_control's arguments after (z, e)
-        self.qp = (obs, s.cbf, s.clf, self.data, ActiveSetQp(), safety_qp(self.data, len(obs)))
+        self.qp = (obs, s.cbf, s.clf, self.P, ActiveSetQp(), safety_qp(s.clf, len(obs)))
         self.true_obs = [(o, combined_radius(o, s.robot)) for o in s.obstacles]
         self.robot = s.robot
         self.dt = dt
@@ -175,7 +175,7 @@ def follow_path(plan: PlanResult, s: Scenario, dt_ctrl: float = DT_CTRL_DEFAULT,
         dy = z.y - gy
         if dx * dx + dy * dy <= tol2:
             samples.append(TrajectorySample(t, z, Control(0.0, 0.0), b_values,
-                                            clf_terms(e, loop.data)[0], 0.0))
+                                            clf_terms(e, loop.P, s.clf.Q)[0], 0.0))
             return Trajectory(tuple(samples))
         if t > budget:
             raise TimeBudgetExceeded(t, Trajectory(tuple(samples)))

@@ -477,9 +477,9 @@ def reference_plan_rrt_cbf_qp(s, rng):
     b = s.bounds
     radii = [combined_radius(o, s.robot) for o in s.obstacles]
     obs = gate_obstacles(s.obstacles, robot)
-    data = solve_lyapunov(s.clf)
+    P = solve_lyapunov(s.clf)
     solver = ActiveSetQp()
-    prob = safety_qp(data, len(obs))
+    prob = safety_qp(s.clf, len(obs))
     v_ref = STEER_SPEED_FRAC * robot.v_max
     tol2 = SAMPLE_TOLERANCE * SAMPLE_TOLERANCE
 
@@ -506,7 +506,8 @@ def reference_plan_rrt_cbf_qp(s, rng):
             ref_vel = (0.0, 0.0) if adv >= dist else (ux * v_ref, uy * v_ref)
             try:
                 mu_e, _, _ = clf_cbf_qp_control(z, tracking_error(z, ref_pos, ref_vel),
-                                                obs, s.cbf, s.clf, data, solver, prob)
+                                                obs, s.cbf, s.clf, P, solver, prob,
+                                                (0.0, 0.0))
             except InfeasibleSafety:
                 ok = False
                 break
@@ -712,12 +713,12 @@ def reference_barrier_condition(z, ox, oy, r, cbf):
     return A + 2.0 * (dx * mu1 + dy * mu2)
 
 
-def reference_qp_control(z, e, obstacles, robot, cbf, clf, d, solver, mu_rm=(0.0, 0.0)):
+def reference_qp_control(z, e, obstacles, robot, cbf, clf, P, solver, mu_rm=(0.0, 0.0)):
     """The safety-filtered tracking QP, built from Obstacle objects each tick."""
     kp, kd = np.asarray(clf.K_P), np.asarray(clf.K_D)
     mu_pd = (float(-(kp[0, 0] * e[0] + kp[0, 1] * e[1]) - (kd[0, 0] * e[2] + kd[0, 1] * e[3])),
              float(-(kp[1, 0] * e[0] + kp[1, 1] * e[1]) - (kd[1, 0] * e[2] + kd[1, 1] * e[3])))
-    V, LfV_eQe, LgV = clf_terms(e, d)
+    V, LfV_eQe, LgV = clf_terms(e, P, clf.Q)
     rows = [[LgV[0], LgV[1], -1.0], [0.0, 0.0, -1.0]]
     rhs = [-LfV_eQe, 0.0]
     for o in obstacles:
@@ -741,7 +742,7 @@ def reference_follow_path(plan, s, perceived_obstacles=None):
     dt_ctrl = DT_CTRL_DEFAULT
     if perceived_obstacles is None:
         perceived_obstacles = s.obstacles
-    data = solve_lyapunov(s.clf)
+    P = solve_lyapunov(s.clf)
     solver = ReferenceQp()
     ref = FrozenPlanReference(plan, (s.goal.x, s.goal.y))
     time_budget = ref.duration + 10.0
@@ -761,13 +762,13 @@ def reference_follow_path(plan, s, perceived_obstacles=None):
         dy = z.y - s.goal.y
         if dx * dx + dy * dy <= tol2:
             samples.append(TrajectorySample(t, z, Control(0.0, 0.0), snapshot(z),
-                                            clf_terms(e, data)[0], 0.0))
+                                            clf_terms(e, P, s.clf.Q)[0], 0.0))
             return Trajectory(tuple(samples))
         if t > time_budget:
             raise TimeBudgetExceeded(t, Trajectory(tuple(samples)))
         try:
             mu_e, slack, V = reference_qp_control(z, e, perceived_obstacles, s.robot, s.cbf,
-                                                  s.clf, data, solver, mu_rm=acc)
+                                                  s.clf, P, solver, mu_rm=acc)
         except InfeasibleSafety as exc:
             raise ControllerInfeasible(t, Trajectory(tuple(samples))) from exc
         u = io_linearize(z, (acc[0] - mu_e[0], acc[1] - mu_e[1]), s.robot)

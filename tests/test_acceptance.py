@@ -268,10 +268,10 @@ def test_criterion_6_qp_oracle_equivalence():
 
 
 def test_criterion_7_lyapunov_synthesis():
-    d = solve_lyapunov(ClfParams())
+    P = solve_lyapunov(ClfParams())
     expected = np.block([[1.5 * np.eye(2), 0.5 * np.eye(2)],
                          [0.5 * np.eye(2), 1.0 * np.eye(2)]])
-    identity_err = float(np.max(np.abs(np.array(d.P) - expected)))
+    identity_err = float(np.max(np.abs(np.array(P) - expected)))
 
     rng = np.random.default_rng(23)
     worst_residual = 0.0
@@ -280,7 +280,7 @@ def test_criterion_7_lyapunov_synthesis():
         m2 = rng.normal(size=(2, 2))
         clf = ClfParams(K_P=m1 @ m1.T + 0.3 * np.eye(2),
                         K_D=m2 @ m2.T + 0.3 * np.eye(2))
-        P = np.array(solve_lyapunov(clf).P)
+        P = np.array(solve_lyapunov(clf))
         A_cl = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.array(clf.K_P), -np.array(clf.K_D)]])
         residual = float(np.max(np.abs(A_cl.T @ P + P @ A_cl + clf.Q)))
         worst_residual = max(worst_residual, residual)

@@ -7,6 +7,7 @@ import re
 import statistics
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -114,11 +115,15 @@ def test_inject_displaces_centers_exactly():
         assert o1.r == o0.r
 
 
-def test_inject_clamps_radius_positive():
+def test_inject_clamps_radius_positive(capsys):
     s = load_bundled_scenario("scenario1")
-    with pytest.warns(UserWarning, match="clamped"):
-        out = inject_perception_error(s, 0.0, 10.0, np.random.default_rng(3))
+    out = inject_perception_error(s, 0.0, 10.0, np.random.default_rng(3))
     assert all(o.r > 0.0 for o in out.obstacles)
+    # one plain stderr line per clamped radius
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == sum(o.r == 0.01 for o in out.obstacles) > 0
+    assert all(re.fullmatch(r"warning: perturbed radius of obstacle at \(.*\) clamped "
+                            r"from -\d+\.\d{3} to 0\.01", line) for line in lines)
 
 
 def test_bench_deterministic_non_timing_fields():
@@ -229,6 +234,13 @@ def test_svg_renders_trajectory(tmp_path):
     emit_svg(traj, s, out)
     ET.parse(out)
     assert circle_count(out) == 8
+
+
+def test_svg_rejects_anything_but_a_plan_or_a_trajectory(tmp_path):
+    out = tmp_path / "other.svg"
+    with pytest.raises(TypeError, match="cannot render list"):
+        emit_svg([], load_bundled_scenario("scenario1"), out)
+    assert not out.exists()
 
 
 # -- command line entry ------------------------------------------------------
@@ -350,6 +362,19 @@ def test_main_inject_writes_an_invalid_perturbation_with_a_warning(tmp_path, cap
     assert "perturbed scenario is invalid" in capsys.readouterr().err
     with pytest.raises(ValueError, match="StartInCollision"):
         load_scenario(out)
+
+
+def test_main_inject_clamps_a_radius_under_warnings_as_errors(tmp_path, capsys):
+    # a clamped radius is a stderr line, not a Python warning, so -W error keeps exit 0
+    out = tmp_path / "clamped.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["inject", "--scenario", "scenario1", "--seed", "1",
+                     "--radius-err", "20", "--out", str(out)]) == 0
+    clamps = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning: perturbed radius of obstacle at")]
+    radii = [o["r"] for o in json.loads(out.read_text())["obstacles"]]
+    assert len(clamps) == radii.count(0.01) == 2
 
 
 def test_main_exit_code_input_error(tmp_path):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import circular_arc_state, reference_g, reference_integrate_step
 
+from kbfplan.control import pd_control
 from kbfplan.core import ClfParams, Control, RobotParams, State
-from kbfplan.dynamics import V_EPS, integrate_step, io_linearize, pd_control, tracking_error
+from kbfplan.dynamics import V_EPS, integrate_step, io_linearize, tracking_error
 
 ROBOT = RobotParams()
 

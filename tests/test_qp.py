@@ -138,6 +138,20 @@ def test_warm_start_agrees_with_cold():
             assert objective(H, f, warm.x) == pytest.approx(objective(H, f, cold.x), abs=1e-8)
 
 
+def test_warm_set_with_a_singular_kkt_matrix_falls_back_to_the_cold_path():
+    # min |x - (2, 2)|^2 under x0 <= 0 and x1 <= 0 leaves the warm set (0, 1); with
+    # two copies of the row x0 <= 0 that set's KKT matrix is singular
+    H, f = 2.0 * np.eye(2), [-4.0, -4.0]
+    solver = ActiveSetQp()
+    assert solver.solve(QpProblem(H, f, np.eye(2), [0.0, 0.0])).active_set == (0, 1)
+    twice = QpProblem(H, f, [[1.0, 0.0], [1.0, 0.0]], [0.0, 0.0])
+    sol, fresh = solver.solve(twice), ActiveSetQp().solve(twice)
+    assert sol.status is fresh.status is QpStatus.OPTIMAL
+    assert sol.x.tolist() == fresh.x.tolist() == [0.0, 2.0]
+    assert sol.active_set == fresh.active_set == (0,)
+    assert sol.multipliers == fresh.multipliers
+
+
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
         QpProblem([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0], np.zeros((0, 2)), [])

@@ -89,11 +89,11 @@ def test_logged_v_is_the_controllers_v(name, seed):
     plan = plan_rrt_kbf(s, np.random.default_rng(seed))
     traj = follow_path(plan, s)
     ref = _PlanReference(plan, (s.goal.x, s.goal.y))
-    data = solve_lyapunov(s.clf)
+    P = solve_lyapunov(s.clf)
     assert len(traj.samples) > 100
     for smp in traj.samples:
         pos, vel, _ = ref.eval(smp.t)
-        assert smp.V == clf_terms(tracking_error(smp.state, pos, vel), data)[0]
+        assert smp.V == clf_terms(tracking_error(smp.state, pos, vel), P, s.clf.Q)[0]
 
 
 COORD = st.floats(-3.0, 3.0)
@@ -207,9 +207,9 @@ def test_cbf_qp_planner_matches_frozen_tick(monkeypatch):
         solver = ReferenceQp()
         calls = []
 
-        def frozen(z, e, _obstacles, cbf, clf, d, _solver, _prob, mu_rm=(0.0, 0.0)):
+        def frozen(z, e, _obstacles, cbf, clf, P, _solver, _prob, mu_rm):
             calls.append(mu_rm)
-            return reference_qp_control(z, e, s.obstacles, s.robot, cbf, clf, d, solver, mu_rm)
+            return reference_qp_control(z, e, s.obstacles, s.robot, cbf, clf, P, solver, mu_rm)
 
         shipped = plan_rrt_cbf_qp(s, np.random.default_rng(0))
         with monkeypatch.context() as m:
